@@ -251,6 +251,8 @@ def cmd_report(args, out):
     data = _load_input(args.input)
     pres = data.presentation
     max_degree = parse_rational(args.max_degree)
+    if max_degree <= 0:
+        raise ValueError("--max-degree must be positive, got %s" % args.max_degree)
     lines = []
     lines.append("presentation: n=%d r=%s strata=%d charts=%d" % (
         pres.n, format_rational(pres.r), len(pres.strata), len(pres.charts)))

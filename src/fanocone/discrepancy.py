@@ -3,7 +3,9 @@
 The minimum runs over the bare Fano ratio r together with, for every
 chart (m; w1,...,wn) and every nontrivial group element k, the weighted
 age (1/m)(r*w1(k) + sum_{i>=2} w_i(k)); the minimal discrepancy is that
-minimum less 1.  A brute-force per-element oracle backs the closed form.
+minimum less 1.  The scan runs over integer numerators on the fixed
+denominator m*den(r) of each chart, with one Fraction per chart; the
+per-element Fraction oracle is the reference it is tested against.
 """
 
 from dataclasses import dataclass
@@ -55,6 +57,24 @@ def discrepancy_oracle(chart, r):
     return [(k, chart_element_value(chart, r, k)) for k in range(1, chart.m)]
 
 
+def _scaled_value(r, w):
+    """m*den(r) times chart_element_value for the element of weights w."""
+    return r.numerator * w[0] + r.denominator * sum(w[1:])
+
+
+def _scaled_values(chart, r):
+    """_scaled_value of the elements k = 1..m-1 of a chart, in order of k,
+    summed one weight column at a time."""
+    m = chart.m
+    ks = range(1, m)
+    rn, rd = r.numerator, r.denominator
+    fiber, *rest = chart.weights
+    values = [k * fiber % m * rn for k in ks]
+    for w in rest:
+        values = [v + k * w % m * rd for v, k in zip(values, ks)]
+    return values
+
+
 def minimal_discrepancy(p):
     """Minimal discrepancy with the full list of minimizing (chart, k) pairs."""
     violations = validate_presentation(p)
@@ -63,12 +83,18 @@ def minimal_discrepancy(p):
     best = Fraction(p.r)
     minimizers = []
     for chart in p.charts:
-        for k, value in discrepancy_oracle(chart, p.r):
-            if value < best:
-                best = value
-                minimizers = [(chart.label, k)]
-            elif value == best:
-                minimizers.append((chart.label, k))
+        values = _scaled_values(chart, p.r)
+        if not values:
+            continue
+        low = min(values)
+        value = Fraction(low, chart.m * p.r.denominator)
+        if value < best:
+            best = value
+            minimizers = []
+        if value == best:
+            minimizers.extend(
+                (chart.label, k) for k, v in enumerate(values, 1) if v == low
+            )
     minimizers.sort()
     return DiscrepancyResult(
         md=best - 1,

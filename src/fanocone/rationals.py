@@ -1,4 +1,5 @@
-"""Exact rational helpers: every index, discrepancy and period is a Fraction.
+"""Exact rational helpers: every discrepancy, period and chart-engine index
+is a Fraction; the diagonal-path indices, always integral, are ints.
 
 External formats carry rationals as strings "p/q" with q > 0 and the
 fraction reduced; no floating point is accepted anywhere.
@@ -8,8 +9,8 @@ from fractions import Fraction
 
 __all__ = ["Rational", "parse_rational", "format_rational"]
 
-# All exact values in this package are fractions.Fraction instances, which
-# already enforce the reduced-form / positive-denominator invariants.
+# Exact values leave this package as fractions.Fraction instances (which
+# enforce the reduced-form / positive-denominator invariants) or as ints.
 Rational = Fraction
 
 

@@ -7,6 +7,12 @@ independent engines compute the indices: a chart engine working from the
 cyclic-quotient chart weights (with the trivialization anomaly
 correction) and, for weighted circle actions on C^n, a diagonal-path
 engine summing one rotation factor per ambient coordinate.
+
+Both engines run on integers: chart-engine indices are numerators over
+the fixed denominator m*den(r) of the stratum's chart, and the
+diagonal-path indices are integers.  Fractions are built only for the
+returned values.  index_of_family_chart and the sympath_index factor are
+the Fraction references the kernels are tested against.
 """
 
 from dataclasses import dataclass
@@ -14,9 +20,13 @@ from fractions import Fraction
 from math import gcd
 
 from .cone_model import validate_presentation
-from .discrepancy import InvalidPresentation, chart_element_value
+from .discrepancy import (
+    InvalidPresentation,
+    _scaled_value,
+    _scaled_values,
+    chart_element_value,
+)
 from .rationals import format_rational
-from .sympath_index import rs_index_factor
 
 __all__ = [
     "ChartIndices",
@@ -31,7 +41,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OrbitFamily:
     isotropy_order: int
     k: int
@@ -128,18 +138,24 @@ def index_of_family_weighted(w, isotropy_order, k, ell):
 
     The orbit runs for time T = ell + k/|G| and the j-th coordinate
     rotates with speed a_j; the stratum dimension is the number of
-    coordinates closing up, projectivized.
+    coordinates closing up, projectivized.  Each factor is
+    rs_index_factor(a_j, T) in integers, from divmod(a_j*(ell*|G| + k), |G|)
+    for this very (k, ell): the chart engine's loop shift is checked here,
+    never reused.  Returns the integers (rs, lcz, lsft).
     """
     if k == 0 and ell == 0:
         raise ValueError("period must be positive")
     if k < 0 or ell < 0 or not (0 <= k < isotropy_order or isotropy_order == 1):
         raise ValueError("invalid signature (k=%d, |G|=%d, ell=%d)" % (k, isotropy_order, ell))
-    T = Fraction(ell) + Fraction(k, isotropy_order)
-    rs = Fraction(0)
+    turns = ell * isotropy_order + k  # T = turns / |G|
+    rs = 0
     closed = 0
     for a in w.a:
-        rs += rs_index_factor(Fraction(a), T)
-        if (a * T).denominator == 1:
+        whole, part = divmod(a * turns, isotropy_order)
+        if part:
+            rs += 2 * whole + 1
+        else:
+            rs += 2 * whole
             closed += 1
     dim = closed - 1
     lcz = rs - dim
@@ -179,58 +195,78 @@ def _principal_family(p, ell, R):
 
 
 def enumerate_families(p, max_period):
-    """All orbit families with 0 < period <= max_period, indices included."""
+    """All orbit families with 0 < period <= max_period, indices included.
+
+    The chart engine in integers: per stratum and partial multiple k, the
+    ell = 0 indices are numerators over D = m*den(r) of the stratum's
+    chart, and each extra loop adds 2R, the numerator 2*num(r)*m.
+    """
     max_period = Fraction(max_period)
     if max_period <= 0:
         raise ValueError("max_period must be positive")
     violations = validate_presentation(p)
     if violations:
         raise InvalidPresentation(violations)
-    R = Fraction(p.r)
+    r = p.r
     n = p.n
+    z2 = (n - 1) % 2
     orders = p.isotropy_orders
-    families = []
-
-    ell = 1
-    while ell <= max_period:
-        families.append(_principal_family(p, ell, R))
-        ell += 1
+    top, bottom = max_period.numerator, max_period.denominator
+    families = [_principal_family(p, ell, r) for ell in range(1, top // bottom + 1)]
 
     for stratum in p.strata:
         d = stratum.isotropy_order
         if d == 1:
             continue
         chart = p.chart(stratum.chart_ref)
+        D = chart.m * r.denominator
+        shift = 2 * r.numerator * chart.m
         for k in admissible_partial_multiples(orders, d):
-            chart_k = k * chart.m // d
-            ell = 0
-            while Fraction(ell) + Fraction(k, d) <= max_period:
-                idx = index_of_family_chart(chart, chart_k, ell, p.r, R, n)
-                if idx.stratum_dim != stratum.complex_dim:
-                    raise InvalidPresentation(
-                        [
-                            "stratum (|G|=%d, %r): chart %r gives dimension %d for "
-                            "element k=%d, stratum records %d"
-                            % (d, stratum.component_id, chart.label, idx.stratum_dim,
-                               k, stratum.complex_dim)
-                        ]
-                    )
+            # ell runs over 0 <= ell <= max_period - k/d.
+            loops = (top * d - k * bottom) // (bottom * d) + 1
+            if loops <= 0:
+                continue
+            w = chart.weights_of_power(k * chart.m // d)
+            dim = w[1:].count(0)
+            if dim != stratum.complex_dim:
+                raise InvalidPresentation(
+                    [
+                        "stratum (|G|=%d, %r): chart %r gives dimension %d for "
+                        "element k=%d, stratum records %d"
+                        % (d, stratum.component_id, chart.label, dim,
+                           k, stratum.complex_dim)
+                    ]
+                )
+            lsft = 2 * _scaled_value(r, w) - 2 * D
+            lcz = lsft - (n - 3) * D
+            rs = lcz + dim * D
+            for ell in range(loops):
+                step = ell * shift
                 families.append(
                     OrbitFamily(
                         isotropy_order=d,
                         k=k,
                         ell=ell,
                         component_id=stratum.component_id,
-                        period=Fraction(ell) + Fraction(k, d),
-                        stratum_dim=idx.stratum_dim,
-                        rs=idx.rs,
-                        lcz=idx.lcz,
-                        z2=(n - 1) % 2,
-                        lsft=idx.lsft,
+                        period=Fraction(ell * d + k, d),
+                        stratum_dim=dim,
+                        rs=Fraction(rs + step, D),
+                        lcz=Fraction(lcz + step, D),
+                        z2=z2,
+                        lsft=Fraction(lsft + step, D),
                     )
                 )
-                ell += 1
-    families.sort(key=OrbitFamily.sort_key)
+    # OrbitFamily.sort_key with the period scaled to an integer by the lcm
+    # of the isotropy orders, which every period's denominator divides.
+    N = p.isotropy_lcm
+    families.sort(
+        key=lambda f: (
+            f.ell * N + f.k * (N // f.isotropy_order),
+            f.isotropy_order,
+            f.component_id,
+            f.k,
+        )
+    )
     return families
 
 
@@ -246,10 +282,9 @@ def inf_lsft(p):
         raise InvalidPresentation(violations)
     if p.r <= 0:
         raise ValueError("inf requires R > 0")
-    best = 2 * Fraction(p.r) - 2
+    best = p.r
     for chart in p.charts:
-        for k in range(1, chart.m):
-            value = 2 * chart_element_value(chart, p.r, k) - 2
-            if value < best:
-                best = value
-    return best
+        values = _scaled_values(chart, p.r)
+        if values:
+            best = min(best, Fraction(min(values), chart.m * p.r.denominator))
+    return 2 * best - 2

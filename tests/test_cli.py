@@ -2,16 +2,25 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
 
+import fanocone
+from fanocone import cone_model
 from fanocone.cli import build_verification_report, main
 from fanocone.cone_model import (
+    ChartData,
+    InputData,
     WeightedAction,
     from_weighted_action,
     input_from_dict,
     presentation_to_dict,
 )
+from fanocone.reeb_orbits import enumerate_families, index_of_family_weighted
 
-from corpus import orbifold_point_cone
+from corpus import handbuilt_corpus, orbifold_point_cone
 
 
 def run_cli(argv):
@@ -206,3 +215,63 @@ def test_build_verification_report_engine_comparison(tmp_path):
     report = build_verification_report(data)
     assert report["engines_agree"] is True
     assert report["thm13_holds"] is True
+
+
+def test_report_nonpositive_max_degree_exits_2(tmp_path):
+    path = weighted_file(tmp_path, (2, 1))
+    for bound in ("0", "-5", "-1/2"):
+        code, out, err = run_cli(["report", path, "--max-degree=" + bound])
+        assert code == 2 and out == ""
+        assert "--max-degree must be positive" in err
+        assert "max_period" not in err
+
+
+def _doctored_321():
+    """(3,2,1) with chart axis1 (3; 1,1,2) replaced by (3; 1,1,1), strata kept."""
+    action = WeightedAction((3, 2, 1))
+    p = from_weighted_action(action)
+    charts = tuple(
+        ChartData(m=3, weights=(1, 1, 1), label=c.label) if c.label == "axis1" else c
+        for c in p.charts
+    )
+    assert charts != p.charts
+    return replace(p, charts=charts)
+
+
+def test_engine_cross_check_can_fail(tmp_path, monkeypatch):
+    # The chart engine sees the doctored chart; the diagonal-path engine
+    # only sees the weights, so the two must disagree.
+    doctored = _doctored_321()
+    data = InputData(presentation=doctored, weighted=WeightedAction((3, 2, 1)),
+                     homology_sphere_link=False)
+    assert build_verification_report(data)["engines_agree"] is False
+    # Every loop count disagrees, so neither engine borrows the other's
+    # values at any ell.
+    doctored_families = [f for f in enumerate_families(doctored, 3)
+                         if f.isotropy_order == 3]
+    assert sorted({f.ell for f in doctored_families}) == [0, 1, 2]
+    for f in doctored_families:
+        got = index_of_family_weighted(data.weighted, 3, f.k, f.ell)
+        assert got != (f.rs, f.lcz, f.lsft), f
+
+    monkeypatch.setattr(cone_model, "from_weighted_action", lambda w: doctored)
+    code, out, err = run_cli(["verify", weighted_file(tmp_path, (3, 2, 1))])
+    assert code == 1 and err == ""
+    assert json.loads(out)["engines_agree"] is False
+
+
+def test_output_independent_of_hash_seed(tmp_path):
+    src = os.path.dirname(os.path.dirname(fanocone.__file__))
+    inputs = [weighted_file(tmp_path, (5, 3, 2), name="w532.json"),
+              weighted_file(tmp_path, (2, 3, 6, 7), name="w2367.json"),
+              presentation_file(tmp_path, dict(handbuilt_corpus())["football-2-3"])]
+    outputs = {}
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        for path in inputs:
+            for args in (["verify", path], ["report", path, "--max-degree", "12"]):
+                run = subprocess.run([sys.executable, "-m", "fanocone.cli"] + args, env=env,
+                                     capture_output=True, check=True, timeout=120)
+                outputs.setdefault(tuple(args), set()).add(run.stdout)
+    assert len(outputs) == 6
+    assert all(len(seen) == 1 for seen in outputs.values())

@@ -20,7 +20,6 @@ from .reeb_orbits import (
     index_of_family_chart,
     index_of_family_weighted,
     inf_lsft,
-    reeb_ratio,
 )
 from .ss_engine import (
     E1Page,

@@ -155,16 +155,12 @@ def validate_presentation(p):
             % (p.n - 1, principal[0].complex_dim)
         )
 
-    orders = [s.isotropy_order for s in p.strata]
-    full_lcm = lcm(*orders) if orders else 1
     chart_labels = set(labels)
     for s in p.strata:
         where = "stratum (|G|=%d, %r)" % (s.isotropy_order, s.component_id)
         if s.isotropy_order < 1:
             violations.append("%s: isotropy order must be positive" % where)
             continue
-        if full_lcm % s.isotropy_order != 0:
-            violations.append("%s: isotropy order does not divide lcm" % where)
         if s.chart_ref not in chart_labels:
             violations.append("%s: chart_ref %r does not resolve" % (where, s.chart_ref))
         else:
@@ -181,6 +177,8 @@ def validate_presentation(p):
             )
         if not s.betti or s.betti[0] < 1:
             violations.append("%s: b0 must be at least 1" % where)
+        if any(b < 0 for b in s.betti):
+            violations.append("%s: betti numbers must be nonnegative" % where)
     return violations
 
 

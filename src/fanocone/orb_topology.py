@@ -1,9 +1,8 @@
-"""Orbifold cohomology utilities for weighted projective links.
+"""Integral orbifold cohomology of weighted projective spaces.
 
-Covers the integral orbifold cohomology table of a weighted projective
-space (free below the dimension, torsion of order prod(w_i) above), the
-Fano index, and the rational-rank consistency of the circle-bundle Gysin
-sequence for homology-sphere links.
+The table behind the wps-cohomology subcommand: free of rank one in even
+degrees up to the real dimension, torsion of order prod(w_i) above it,
+zero in odd degrees.
 """
 
 from dataclasses import dataclass
@@ -11,8 +10,6 @@ from math import prod
 
 __all__ = [
     "GradedPiece",
-    "fano_index_wps",
-    "gysin_rank_check",
     "wps_cohomology",
 ]
 
@@ -49,56 +46,3 @@ def wps_cohomology(w, k):
     if k <= 2 * n - 2:
         return FREE
     return GradedPiece(kind="torsion", order=prod(w.a))
-
-
-def fano_index_wps(w):
-    """Weight sum; exceeds n except for the straight projective space."""
-    index = sum(w.a)
-    if any(x != 1 for x in w.a):
-        assert index > w.n
-    return index
-
-
-def gysin_rank_check(orb_ranks, link_ranks, n):
-    """Rational-rank consistency of the circle-bundle Gysin sequence.
-
-    Both sequences are Q-ranks per degree 0..2n.  Vanishing link
-    cohomology in degrees 1..2n-2 forces the cup-product maps to be rank
-    isomorphisms in the stable range, pinning the orbifold ranks to those
-    of a straight projective space of dimension n-1.  Returns the list of
-    inconsistencies (empty means consistent).
-    """
-    report = []
-    for seq, name in ((orb_ranks, "orb"), (link_ranks, "link")):
-        if len(seq) < 2 * n + 1 or any(
-            not isinstance(x, int) or isinstance(x, bool) or x < 0 for x in seq
-        ):
-            raise ValueError("%s sequence must give ranks for degrees 0..2n" % name)
-    for k in range(1, 2 * n - 1):
-        if link_ranks[k] != 0:
-            report.append(
-                "link cohomology has rank %d in degree %d; "
-                "homology-sphere vanishing fails" % (link_ranks[k], k)
-            )
-    if report:
-        return report
-    if orb_ranks[0] != 1:
-        report.append("orbifold rank in degree 0 is %d, expected 1" % orb_ranks[0])
-    if orb_ranks[1] != 0:
-        # H^1_orb injects into the vanishing H^1 of the link.
-        report.append("orbifold rank in degree 1 is %d, expected 0" % orb_ranks[1])
-    for k in range(1, 2 * n - 2):
-        # Cup product with the Euler class is a rank isomorphism here.
-        if orb_ranks[k + 1] != orb_ranks[k - 1]:
-            report.append(
-                "cup-product map fails to be a rank isomorphism between "
-                "degrees %d and %d" % (k - 1, k + 1)
-            )
-    for k in range(0, 2 * n - 1):
-        expected = 1 if k % 2 == 0 else 0
-        if orb_ranks[k] != expected:
-            report.append(
-                "orbifold rank in degree %d is %d, expected %d (projective-space "
-                "pattern)" % (k, orb_ranks[k], expected)
-            )
-    return report

@@ -7,11 +7,7 @@ fraction reduced; no floating point is accepted anywhere.
 
 from fractions import Fraction
 
-__all__ = ["Rational", "parse_rational", "format_rational"]
-
-# Exact values leave this package as fractions.Fraction instances (which
-# enforce the reduced-form / positive-denominator invariants) or as ints.
-Rational = Fraction
+__all__ = ["parse_rational", "format_rational"]
 
 
 def parse_rational(text):

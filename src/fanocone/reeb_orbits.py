@@ -4,15 +4,20 @@ Families are labelled by (G, k, ell, component): an isotropy stratum, a
 partial multiple k of the stratum order, and ell full loops; the period
 is ell + k/|G| with the principal orbit normalized to period 1.  Two
 independent engines compute the indices: a chart engine working from the
-cyclic-quotient chart weights (with the trivialization anomaly
-correction) and, for weighted circle actions on C^n, a diagonal-path
-engine summing one rotation factor per ambient coordinate.
+cyclic-quotient chart weights (its degrees are the canonical ones, the
+trivialization anomaly already folded into the weighted age) and, for
+weighted circle actions on C^n, a diagonal-path engine summing one
+rotation factor per ambient coordinate.
 
 Both engines run on integers: chart-engine indices are numerators over
 the fixed denominator m*den(r) of the stratum's chart, and the
 diagonal-path indices are integers.  Fractions are built only for the
 returned values.  index_of_family_chart and the sympath_index factor are
 the Fraction references the kernels are tested against.
+
+inf_lsft is the infimum of the lowest SFT degree over all closed orbits;
+it bounds every family's lsft from below, which is what the E1 page
+assembly uses for its period cutoff.
 """
 
 from dataclasses import dataclass
@@ -26,18 +31,15 @@ from .discrepancy import (
     _scaled_values,
     chart_element_value,
 )
-from .rationals import format_rational
 
 __all__ = [
     "ChartIndices",
     "OrbitFamily",
-    "ReebRatio",
     "admissible_partial_multiples",
     "enumerate_families",
     "index_of_family_chart",
     "index_of_family_weighted",
     "inf_lsft",
-    "reeb_ratio",
 ]
 
 
@@ -59,39 +61,11 @@ class OrbitFamily:
 
 
 @dataclass(frozen=True)
-class ReebRatio:
-    value: Fraction
-
-
-@dataclass(frozen=True)
 class ChartIndices:
     rs: Fraction
     lcz: Fraction
     lsft: Fraction
     stratum_dim: int
-    # Trivialization-dependent intermediates, exposed for cross-checks only:
-    # the chart-trivialized degree of the base orbit and of its m-th power.
-    lsft_tau: Fraction
-    lsft_tau_power: Fraction
-
-
-def reeb_ratio(p):
-    """R(M), the per-period Maslov winding; equals the Fano ratio r.
-
-    Cross-checked against the principal ell=1 family, whose lowest SFT
-    degree must be 2R - 2.
-    """
-    violations = validate_presentation(p)
-    if violations:
-        raise InvalidPresentation(violations)
-    R = Fraction(p.r)
-    principal = _principal_family(p, ell=1, R=R)
-    if principal.lsft != 2 * R - 2:
-        raise AssertionError(
-            "principal-orbit cross-check failed: lsft %s != 2R-2 = %s"
-            % (format_rational(principal.lsft), format_rational(2 * R - 2))
-        )
-    return ReebRatio(value=R)
 
 
 def index_of_family_chart(chart, k, ell, r, R, n):
@@ -110,11 +84,7 @@ def index_of_family_chart(chart, k, ell, r, R, n):
         rs = 2 * ell * R
         dim = n - 1
         lcz = rs - dim
-        return ChartIndices(
-            rs=rs, lcz=lcz, lsft=lcz + n - 3, stratum_dim=dim,
-            lsft_tau=Fraction(2 * n - 4),
-            lsft_tau_power=2 * sum(chart.m - wi for wi in chart.weights[1:]) - 2,
-        )
+        return ChartIndices(rs=rs, lcz=lcz, lsft=lcz + n - 3, stratum_dim=dim)
     if ell < 0:
         raise ValueError("negative loop count")
     w = chart.weights_of_power(km)
@@ -128,8 +98,6 @@ def index_of_family_chart(chart, k, ell, r, R, n):
         lcz=lcz0 + shift,
         lsft=lsft0 + shift,
         stratum_dim=dim,
-        lsft_tau=Fraction(2 * n - 4),
-        lsft_tau_power=2 * sum(chart.m - wi for wi in chart.weights[1:]) - 2,
     )
 
 
@@ -174,10 +142,10 @@ def admissible_partial_multiples(orders, d):
     return out
 
 
-def _principal_family(p, ell, R):
+def _principal_family(p, ell):
     principal = p.principal_stratum
     n = p.n
-    rs = 2 * ell * R
+    rs = 2 * ell * p.r
     dim = n - 1
     lcz = rs - dim
     return OrbitFamily(
@@ -212,7 +180,7 @@ def enumerate_families(p, max_period):
     z2 = (n - 1) % 2
     orders = p.isotropy_orders
     top, bottom = max_period.numerator, max_period.denominator
-    families = [_principal_family(p, ell, r) for ell in range(1, top // bottom + 1)]
+    families = [_principal_family(p, ell) for ell in range(1, top // bottom + 1)]
 
     for stratum in p.strata:
         d = stratum.isotropy_order

@@ -11,9 +11,7 @@ degree is certified, via the survivor argument.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cone_model import validate_presentation
-from .discrepancy import InvalidPresentation
-from .reeb_orbits import enumerate_families
+from .reeb_orbits import enumerate_families, inf_lsft
 
 __all__ = [
     "CertificationError",
@@ -60,43 +58,34 @@ class SHProfile:
 def assemble_e1(p, max_degree):
     """All page entries of total degree at most max_degree.
 
-    Completeness: the degree of any family grows by 2*ell*R per extra
-    loop, so a finite period cutoff covers every degree below the bound.
+    Completeness: every family has lsft >= inf lSFT, so lcz >= inf lSFT
+    - (n - 3), and each extra loop adds 2R; the period cutoff taken from
+    inf lSFT therefore covers every degree up to the bound.  The
+    filtration index N * period is the integer ell*N + k*(N // |G|).
     """
-    violations = validate_presentation(p)
-    if violations:
-        raise InvalidPresentation(violations)
-    if p.r <= 0:
-        raise ValueError("page assembly requires R > 0 for a completeness bound")
+    inf_value = inf_lsft(p)  # validates p and requires R > 0
     max_degree = Fraction(max_degree)
-    R = Fraction(p.r)
     n = p.n
     N = p.isotropy_lcm
+    extra_loops = (max_degree - inf_value + n - 3) / (2 * p.r)
+    cutoff = 1 + (int(extra_loops) + 1 if extra_loops > 0 else 0)
 
-    base = enumerate_families(p, 1)
+    strata = {(s.isotropy_order, s.component_id): s for s in p.strata}
     entries = {}
-    if base:
-        min_lcz = min(f.lcz for f in base)
-        extra_loops = (max_degree - min_lcz) / (2 * R)
-        cutoff = 1
-        if extra_loops > 0:
-            cutoff += int(extra_loops) + 1
-        strata = {(s.isotropy_order, s.component_id): s for s in p.strata}
-        for family in enumerate_families(p, cutoff):
-            if family.lcz > max_degree:
+    for family in enumerate_families(p, cutoff):
+        if family.lcz > max_degree:
+            continue
+        filtration = family.ell * N + family.k * (N // family.isotropy_order)
+        stratum = strata[(family.isotropy_order, family.component_id)]
+        for j, bj in enumerate(stratum.betti):
+            if bj == 0:
                 continue
-            stratum = strata[(family.isotropy_order, family.component_id)]
-            for j, bj in enumerate(stratum.betti):
-                if bj == 0:
-                    continue
-                degree = family.lcz + j
-                if degree > max_degree:
-                    continue
-                key = (N * family.period, degree, (n - 1 + j) % 2)
-                assert key[0].denominator == 1 and key[0] > 0
-                entries.setdefault((int(key[0]), degree, key[2]), []).append(
-                    E1Entry(rank=bj, family=family, homology_degree=j)
-                )
+            degree = family.lcz + j
+            if degree > max_degree:
+                continue
+            entries.setdefault((filtration, degree, (n - 1 + j) % 2), []).append(
+                E1Entry(rank=bj, family=family, homology_degree=j)
+            )
     frozen = {key: tuple(val) for key, val in entries.items()}
     return E1Page(n=n, N=N, max_degree=max_degree, entries=frozen)
 

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -96,6 +97,18 @@ def test_zero_ratio_exits_2(tmp_path):
     assert "Fano condition" in err
 
 
+def test_negative_betti_exits_2(tmp_path):
+    payload = {"format": "fanocone/1", "kind": "presentation", "n": 2, "r": "3/1",
+               "charts": [{"m": 1, "weights": [0, 0], "label": "c"}],
+               "strata": [{"isotropy_order": 1, "component_id": "0", "complex_dim": 1,
+                           "betti": [1, 0, -1], "chart_ref": "c"}]}
+    path = tmp_path / "negative-betti.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(["report", str(path), "--max-degree", "9"])
+    assert code == 2 and out == ""
+    assert "betti numbers must be nonnegative" in err
+
+
 def test_orbits(tmp_path):
     code, out, _ = run_cli(
         ["orbits", weighted_file(tmp_path, (2, 1)), "--max-period", "1"]
@@ -145,6 +158,14 @@ def test_wps_cohomology():
     assert code == 0
     payload = json.loads(out)
     assert payload["4"] == "Z" and payload["6"] == "Z_6" and payload["1"] == "0"
+
+
+def test_wps_cohomology_negative_max_degree_exits_2():
+    code, out, err = run_cli(["wps-cohomology", "--weights", "1,2,3", "--max-degree", "-1"])
+    assert code == 2 and out == ""
+    assert "--max-degree" in err
+    code, out, _ = run_cli(["wps-cohomology", "--weights", "1,2,3", "--max-degree", "0"])
+    assert code == 0 and json.loads(out) == {"0": "Z"}
 
 
 def test_verify_32(tmp_path):
@@ -275,3 +296,25 @@ def test_output_independent_of_hash_seed(tmp_path):
                 outputs.setdefault(tuple(args), set()).add(run.stdout)
     assert len(outputs) == 6
     assert all(len(seen) == 1 for seen in outputs.values())
+
+
+def _readme_cli_block():
+    """The README's CLI code block: the cone.json it writes and its commands."""
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+              encoding="utf-8") as handle:
+        readme = handle.read()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    cone = block.split("<<'EOF'\n", 1)[1].split("\nEOF", 1)[0]
+    commands = [line.split("#", 1)[0] for line in block.splitlines()
+                if line.startswith("fanocone ")]
+    return cone, [shlex.split(line)[1:] for line in commands]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    cone, commands = _readme_cli_block()
+    (tmp_path / "cone.json").write_text(cone + "\n")
+    monkeypatch.chdir(tmp_path)
+    assert len(commands) >= 8
+    for argv in commands:
+        code, out, err = run_cli(argv)
+        assert code == 0 and err == "" and out, argv

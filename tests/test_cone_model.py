@@ -94,6 +94,16 @@ def test_validate_more_violations():
     assert any("complex_dim n-1" in v for v in report)
 
 
+def test_validate_negative_betti():
+    p = ConePresentation(
+        n=2,
+        r=Fraction(3),
+        strata=(Stratum(1, "0", 1, (1, 0, -1), "c"),),
+        charts=(ChartData(m=1, weights=(0, 0), label="c"),),
+    )
+    assert any("betti numbers must be nonnegative" in v for v in validate_presentation(p))
+
+
 def test_from_weighted_111():
     p = from_weighted_action(WeightedAction((1, 1, 1)))
     assert p.r == 3

@@ -3,8 +3,11 @@
 enumerate_families, index_of_family_weighted, minimal_discrepancy and
 inf_lsft work on integer numerators; index_of_family_chart,
 rs_index_factor, discrepancy_oracle and chart_element_value are the
-per-element Fraction references.  Inputs are generated: weighted actions
-with entries up to 500 and orbifold point cones with non-integral r.
+per-element Fraction references.  assemble_e1, which takes its period
+cutoff from inf_lsft and its filtration index in integers, is checked
+against a page built from a period bound derived a priori and the
+Fraction product N * period.  Inputs are generated: weighted actions with
+entries up to 500 and orbifold point cones with non-integral r.
 """
 
 from fractions import Fraction
@@ -12,7 +15,13 @@ from math import floor, gcd
 
 import pytest
 
-from fanocone.cone_model import WeightedAction, from_weighted_action
+from fanocone.cone_model import (
+    ChartData,
+    ConePresentation,
+    Stratum,
+    WeightedAction,
+    from_weighted_action,
+)
 from fanocone.discrepancy import (
     chart_element_value,
     discrepancy_oracle,
@@ -26,6 +35,7 @@ from fanocone.reeb_orbits import (
     index_of_family_weighted,
     inf_lsft,
 )
+from fanocone.ss_engine import E1Entry, assemble_e1
 from fanocone.sympath_index import rs_index_factor
 
 from corpus import orbifold_point_cone
@@ -35,6 +45,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 MAX_PERIOD = 3
 SETTINGS = settings(max_examples=25, deadline=None)
+degree_bounds = st.fractions(min_value=-4, max_value=40, max_denominator=6)
 
 weight_vectors = (
     st.integers(2, 4)
@@ -129,3 +140,46 @@ def test_weighted_actions_match_references(a):
 def test_point_cones_match_references(p, max_period):
     assert enumerate_families(p, max_period) == reference_families(p, max_period)
     assert_scans_match_references(p)
+
+
+def reference_page(p, max_degree):
+    """E1 entries of degree <= max_degree from enumerate_families up to a
+    period bound derived a priori: every ell = 0 family has lcz > 1 - n
+    (its chart element value is positive) and each loop adds 2R."""
+    bound = 2 + floor((max_degree + p.n - 1) / (2 * p.r))
+    strata = {(s.isotropy_order, s.component_id): s for s in p.strata}
+    entries = {}
+    for f in enumerate_families(p, max(bound, 1)):
+        betti = strata[(f.isotropy_order, f.component_id)].betti
+        for j, bj in enumerate(betti):
+            if bj and f.lcz + j <= max_degree:
+                key = (p.isotropy_lcm * f.period, f.lcz + j, (p.n - 1 + j) % 2)
+                entries.setdefault(key, []).append(E1Entry(bj, f, j))
+    return {key: tuple(val) for key, val in entries.items()}
+
+
+@SETTINGS
+@given(weight_vectors, degree_bounds)
+def test_weighted_e1_page_is_complete(a, max_degree):
+    p = from_weighted_action(WeightedAction(tuple(a)))
+    assert assemble_e1(p, max_degree).entries == reference_page(p, max_degree)
+
+
+@SETTINGS
+@given(point_cones(), degree_bounds)
+def test_point_cone_e1_page_is_complete(p, max_degree):
+    assert assemble_e1(p, max_degree).entries == reference_page(p, max_degree)
+
+
+def test_e1_page_complete_when_inf_lsft_undercuts_every_family():
+    # Chart (3; 1,1) that no stratum carries: inf_lsft sees its elements,
+    # the enumeration only the principal family, so the cutoff is larger
+    # than the families need and must still give the same page.
+    chart = ChartData(m=3, weights=(1, 1), label="c")
+    p = ConePresentation(n=2, r=Fraction(1), strata=(Stratum(1, "0", 1, (1, 0, 1), "c"),),
+                         charts=(chart,))
+    assert inf_lsft(p) < min(f.lsft for f in enumerate_families(p, 1))
+    for max_degree in (0, 1, 9, Fraction(25, 2)):
+        page = assemble_e1(p, max_degree)
+        assert page.entries == reference_page(p, max_degree)
+    assert page.entries

@@ -1,17 +1,13 @@
-"""Weighted projective cohomology, Fano index, Gysin rank consistency."""
+"""Weighted projective cohomology tables."""
 
 from math import prod
 
 import pytest
 
 from fanocone.cone_model import WeightedAction, from_weighted_action
-from fanocone.orb_topology import (
-    fano_index_wps,
-    gysin_rank_check,
-    wps_cohomology,
-)
+from fanocone.orb_topology import wps_cohomology
 
-from corpus import pairwise_coprime_corpus, weighted_corpus
+from corpus import weighted_corpus
 
 
 def test_wps_cohomology_examples():
@@ -39,67 +35,9 @@ def test_wps_cohomology_pattern_and_torsion_order():
                 assert piece.order == prod(w.a)
 
 
-def test_fano_index_examples():
-    assert fano_index_wps(WeightedAction((1, 1, 1, 1))) == 4
-    assert fano_index_wps(WeightedAction((1, 2, 3))) == 6
-    assert fano_index_wps(WeightedAction((1,))) == 1
-
-
-def test_fano_index_matches_presentation_ratio():
-    for w in weighted_corpus(max_entry=6):
-        assert fano_index_wps(w) == from_weighted_action(w).r
-
-
 def test_wps_ranks_match_generated_betti():
     for w in weighted_corpus(max_entry=5, dims=(2, 3)):
         p = from_weighted_action(w)
         principal = p.principal_stratum
         for k, b in enumerate(principal.betti):
             assert wps_cohomology(w, k).q_rank == b
-
-
-def _sphere_link_ranks(n):
-    ranks = [0] * (2 * n + 1)
-    ranks[0] = 1
-    ranks[2 * n - 1] = 1
-    return ranks
-
-
-def _projective_orb_ranks(n):
-    ranks = [1 if k % 2 == 0 and k <= 2 * n - 2 else 0 for k in range(2 * n + 1)]
-    return ranks
-
-
-def test_gysin_consistent_cases():
-    for n in (2, 3, 4):
-        assert gysin_rank_check(_projective_orb_ranks(n), _sphere_link_ranks(n), n) == []
-
-
-def test_gysin_counterexamples():
-    n = 3
-    link = _sphere_link_ranks(n)
-    link[2] = 1
-    report = gysin_rank_check(_projective_orb_ranks(n), link, n)
-    assert any("vanishing" in line for line in report)
-    orb = _projective_orb_ranks(n)
-    orb[2] = 2
-    report = gysin_rank_check(orb, _sphere_link_ranks(n), n)
-    assert report != []
-
-
-def test_gysin_rejects_malformed_sequences():
-    with pytest.raises(ValueError):
-        gysin_rank_check([1, 0, 1], [1, 0, 0], 3)
-    with pytest.raises(ValueError):
-        gysin_rank_check([1, 0, 1, 0, 1.5, 0, 0], [1, 0, 0, 0, 0, 1, 0], 3)
-
-
-def test_gysin_pairwise_coprime_corpus():
-    # Pairwise-coprime weights give sphere links; the generated Betti data
-    # must pass the rank check against them.
-    for w in pairwise_coprime_corpus(max_entry=6):
-        n = w.n
-        p = from_weighted_action(w)
-        betti = list(p.principal_stratum.betti)
-        orb = [betti[k] if k < len(betti) else 0 for k in range(2 * n + 1)]
-        assert gysin_rank_check(orb, _sphere_link_ranks(n), n) == []

@@ -13,17 +13,9 @@ from fanocone.reeb_orbits import (
     index_of_family_chart,
     index_of_family_weighted,
     inf_lsft,
-    reeb_ratio,
 )
 
 from corpus import handbuilt_corpus, orbifold_point_cone, weighted_corpus
-
-
-def test_reeb_ratio_examples():
-    assert reeb_ratio(from_weighted_action(WeightedAction((1, 1, 1)))).value == 3
-    assert reeb_ratio(from_weighted_action(WeightedAction((2, 1)))).value == 3
-    p = orbifold_point_cone(2, 2, (1,), Fraction(5, 2))
-    assert reeb_ratio(p).value == Fraction(5, 2)
 
 
 def test_chart_engine_examples():
@@ -42,15 +34,17 @@ def test_chart_engine_examples():
 
 
 def test_chart_engine_trivialization_intermediates():
-    # The chart-trivialized degree is 2n-4 and the anomaly correction
-    # reconstructs the canonical value for the generator itself.
+    # The chart-trivialized degree of the generator is 2n-4, that of its
+    # m-th power 2*sum(m - w_i) - 2; the anomaly correction reconstructs
+    # the canonical value for the generator itself.
     c = ChartData(m=2, weights=(1, 1), label="c")
-    idx = index_of_family_chart(c, k=1, ell=0, r=3, R=3, n=2)
-    assert idx.lsft_tau == 2 * 2 - 4
-    assert idx.lsft_tau_power == 2 * (2 - 1) - 2
-    principal = index_of_family_chart(c, k=2, ell=0, r=3, R=3, n=2)
-    anomaly = Fraction(principal.lsft - idx.lsft_tau_power, c.m)
-    assert idx.lsft == idx.lsft_tau + anomaly
+    n = 2
+    lsft_tau = 2 * n - 4
+    lsft_tau_power = 2 * sum(c.m - wi for wi in c.weights[1:]) - 2
+    idx = index_of_family_chart(c, k=1, ell=0, r=3, R=3, n=n)
+    principal = index_of_family_chart(c, k=2, ell=0, r=3, R=3, n=n)
+    anomaly = Fraction(principal.lsft - lsft_tau_power, c.m)
+    assert idx.lsft == lsft_tau + anomaly
 
 
 def test_chart_engine_rejects_zero_period():

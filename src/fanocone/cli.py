@@ -19,11 +19,7 @@ from .cone_model import (
 from .discrepancy import InvalidPresentation, minimal_discrepancy
 from .orb_topology import wps_cohomology
 from .rationals import format_rational, parse_rational
-from .reeb_orbits import (
-    enumerate_families,
-    index_of_family_weighted,
-    inf_lsft,
-)
+from .reeb_orbits import engines_agree, enumerate_families, inf_lsft
 from .ss_engine import (
     CertificationError,
     assemble_e1,
@@ -211,15 +207,7 @@ def build_verification_report(data, engine_period=3):
     page = assemble_e1(pres, floor_degree + 1)
     sh_min = certify_min_degree(page).min_degree
 
-    engines_agree = True
-    if data.weighted is not None:
-        for family in enumerate_families(pres, engine_period):
-            got = index_of_family_weighted(
-                data.weighted, family.isotropy_order, family.k, family.ell
-            )
-            if got != (family.rs, family.lcz, family.lsft):
-                engines_agree = False
-                break
+    agree = data.weighted is None or engines_agree(pres, data.weighted, engine_period)
 
     thm13 = (2 * md_result.md == inf_value) and (inf_value == sh_min + n - 3)
     return {
@@ -235,7 +223,7 @@ def build_verification_report(data, engine_period=3):
         "thm13_holds": thm13,
         "thm14_scenario": md_result.md == Fraction(n - 1),
         "shokurov_ok": md_result.md <= n - 1,
-        "engines_agree": engines_agree,
+        "engines_agree": agree,
     }
 
 

@@ -128,6 +128,7 @@ def validate_presentation(p):
         violations.append("Fano condition violated: r = %s <= 0" % format_rational(p.r))
 
     labels = [c.label for c in p.charts]
+    orders = {s.isotropy_order for s in p.strata}
     for label in sorted(set(labels)):
         if labels.count(label) > 1:
             violations.append("duplicate chart label %r" % label)
@@ -143,6 +144,9 @@ def validate_presentation(p):
             violations.append("chart %r: weights must lie in [0, m)" % c.label)
         if c.weights and gcd(c.m, c.weights[0]) != 1:
             violations.append("chart %r: gcd(m,w1)!=1 (link not smooth)" % c.label)
+        if c.m > 1 and c.m not in orders:
+            # The chart's centre has isotropy Z_m, so some stratum must carry it.
+            violations.append("chart %r: no stratum has isotropy order m=%d" % (c.label, c.m))
 
     principal = [s for s in p.strata if s.isotropy_order == 1]
     if not principal:
@@ -182,6 +186,19 @@ def validate_presentation(p):
     return violations
 
 
+def divisors(x):
+    """The positive divisors of x >= 1, in increasing order."""
+    low, high = [], []
+    i = 1
+    while i * i <= x:
+        if x % i == 0:
+            low.append(i)
+            if i * i != x:
+                high.append(x // i)
+        i += 1
+    return low + high[::-1]
+
+
 def _projective_betti(dim):
     """Rational Betti numbers of P^dim: 1 in each even degree 0..2*dim."""
     return tuple(1 if j % 2 == 0 else 0 for j in range(2 * dim + 1))
@@ -207,17 +224,16 @@ def from_weighted_action(w):
                 weights.append((aj - ai) % aj)
         charts.append(ChartData(m=aj, weights=tuple(weights), label="axis%d" % (j + 1)))
 
-    realized = set()
+    # A realized order is the gcd of the weights it divides, so it divides
+    # one of the weights.
     support = {}
-    for d in range(1, max(a) + 1):
+    for d in sorted({d for ai in set(a) for d in divisors(ai)}):
         axes = [i for i, ai in enumerate(a) if ai % d == 0]
-        if axes and gcd(*[a[i] for i in axes]) == d:
-            realized.add(d)
+        if gcd(*[a[i] for i in axes]) == d:
             support[d] = axes
 
     strata = []
-    for d in sorted(realized):
-        axes = support[d]
+    for d, axes in support.items():
         dim = len(axes) - 1
         chart_ref = charts[axes[0]].label
         strata.append(

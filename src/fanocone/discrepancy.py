@@ -57,14 +57,9 @@ def discrepancy_oracle(chart, r):
     return [(k, chart_element_value(chart, r, k)) for k in range(1, chart.m)]
 
 
-def _scaled_value(r, w):
-    """m*den(r) times chart_element_value for the element of weights w."""
-    return r.numerator * w[0] + r.denominator * sum(w[1:])
-
-
 def _scaled_values(chart, r):
-    """_scaled_value of the elements k = 1..m-1 of a chart, in order of k,
-    summed one weight column at a time."""
+    """m*den(r) times chart_element_value of the elements k = 1..m-1 of a
+    chart, in order of k, summed one weight column at a time."""
     m = chart.m
     ks = range(1, m)
     rn, rd = r.numerator, r.denominator

@@ -15,31 +15,35 @@ diagonal-path indices are integers.  Fractions are built only for the
 returned values.  index_of_family_chart and the sympath_index factor are
 the Fraction references the kernels are tested against.
 
-inf_lsft is the infimum of the lowest SFT degree over all closed orbits;
-it bounds every family's lsft from below, which is what the E1 page
-assembly uses for its period cutoff.
+orbit_towers is the integer table all three consumers share: one row
+per (stratum, admissible k) plus the principal orbit, with the ell = 0
+numerators and the per-loop shift.  enumerate_families reads it up to a
+period, the E1 page up to a degree and engines_agree compares it with the
+diagonal-path engine.
+
+inf_lsft is the infimum of the lowest SFT degree over all closed orbits,
+taken over the chart elements.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
-from .cone_model import validate_presentation
-from .discrepancy import (
-    InvalidPresentation,
-    _scaled_value,
-    _scaled_values,
-    chart_element_value,
-)
+from .cone_model import divisors, validate_presentation
+from .discrepancy import InvalidPresentation, _scaled_values, chart_element_value
 
 __all__ = [
     "ChartIndices",
     "OrbitFamily",
+    "OrbitTower",
     "admissible_partial_multiples",
+    "engines_agree",
     "enumerate_families",
     "index_of_family_chart",
     "index_of_family_weighted",
     "inf_lsft",
+    "orbit_towers",
 ]
 
 
@@ -127,103 +131,125 @@ def index_of_family_weighted(w, isotropy_order, k, ell):
             closed += 1
     dim = closed - 1
     lcz = rs - dim
-    return rs, lcz, lcz + w.n - 3
+    return rs, lcz, lcz + len(w.a) - 3
 
 
 def admissible_partial_multiples(orders, d):
     """Partial multiples k in 1..d-1 whose group element belongs to no
-    smaller isotropy group in the stratification (divisibility test)."""
-    out = []
-    smaller = [dp for dp in orders if dp < d and d % dp == 0]
-    for k in range(1, d):
-        element_order = d // gcd(k, d)
-        if not any(dp % element_order == 0 for dp in smaller):
-            out.append(k)
-    return out
+    smaller isotropy group in the stratification.
 
-
-def _principal_family(p, ell):
-    principal = p.principal_stratum
-    n = p.n
-    rs = 2 * ell * p.r
-    dim = n - 1
-    lcz = rs - dim
-    return OrbitFamily(
-        isotropy_order=1,
-        k=0,
-        ell=ell,
-        component_id=principal.component_id,
-        period=Fraction(ell),
-        stratum_dim=dim,
-        rs=rs,
-        lcz=lcz,
-        z2=(n - 1) % 2,
-        lsft=lcz + n - 3,
-    )
-
-
-def enumerate_families(p, max_period):
-    """All orbit families with 0 < period <= max_period, indices included.
-
-    The chart engine in integers: per stratum and partial multiple k, the
-    ell = 0 indices are numerators over D = m*den(r) of the stratum's
-    chart, and each extra loop adds 2R, the numerator 2*num(r)*m.
+    The element k has order d // gcd(k, d); an order is blocked when it
+    divides a smaller isotropy order that divides d.
     """
-    max_period = Fraction(max_period)
-    if max_period <= 0:
-        raise ValueError("max_period must be positive")
+    smaller = [dp for dp in orders if dp < d and d % dp == 0]
+    blocked = {e for e in divisors(d) if any(dp % e == 0 for dp in smaller)}
+    return [k for k in range(1, d) if d // gcd(k, d) not in blocked]
+
+
+class OrbitTower(NamedTuple):
+    """The families (stratum, k, ell) of one stratum and partial multiple k.
+
+    Loop ell has rs, lcz and lsft equal to (rs0 + ell*shift)/D and so on,
+    with D = m*den(r) for the stratum's chart and shift = 2*num(r)*m, the
+    numerator of 2R; the principal tower (k = 0, D = den(r)) starts at
+    ell = 1, every other tower at ell = 0.  dim is the dimension the chart
+    gives the element, which check_dimension compares with the stratum.
+    """
+
+    stratum: object
+    k: int
+    D: int
+    shift: int
+    rs0: int
+    lcz0: int
+    lsft0: int
+    dim: int
+
+    @property
+    def first_ell(self):
+        return 0 if self.k else 1
+
+    def check_dimension(self):
+        s = self.stratum
+        if self.dim != s.complex_dim:
+            raise InvalidPresentation(
+                [
+                    "stratum (|G|=%d, %r): chart %r gives dimension %d for "
+                    "element k=%d, stratum records %d"
+                    % (s.isotropy_order, s.component_id, s.chart_ref, self.dim,
+                       self.k, s.complex_dim)
+                ]
+            )
+
+
+def orbit_towers(p):
+    """The validated integer tower table: the principal tower first, then
+    one tower per stratum and admissible k, in stratum order.
+
+    The ell = 0 numerators come from the chart's per-column scan
+    (discrepancy._scaled_values): lsft0 = 2*value - 2*D.
+    """
     violations = validate_presentation(p)
     if violations:
         raise InvalidPresentation(violations)
     r = p.r
     n = p.n
-    z2 = (n - 1) % 2
+    den = r.denominator
+    towers = [
+        OrbitTower(p.principal_stratum, 0, den, 2 * r.numerator, 0,
+                   -(n - 1) * den, -2 * den, n - 1)
+    ]
     orders = p.isotropy_orders
-    top, bottom = max_period.numerator, max_period.denominator
-    families = [_principal_family(p, ell) for ell in range(1, top // bottom + 1)]
-
+    scans = {}
     for stratum in p.strata:
         d = stratum.isotropy_order
         if d == 1:
             continue
         chart = p.chart(stratum.chart_ref)
-        D = chart.m * r.denominator
-        shift = 2 * r.numerator * chart.m
+        m = chart.m
+        values = scans.get(chart.label)
+        if values is None:
+            values = scans[chart.label] = _scaled_values(chart, r)
+        D = m * den
+        shift = 2 * r.numerator * m
+        # The element km fixes the tail coordinate of weight w when the order
+        # m // gcd(m, w) divides km, that is divides gcd(km, m).
+        tail_orders = [m // gcd(m, w) for w in chart.weights[1:]]
+        dims = {g: sum(g % o == 0 for o in tail_orders) for g in divisors(m)}
         for k in admissible_partial_multiples(orders, d):
-            # ell runs over 0 <= ell <= max_period - k/d.
-            loops = (top * d - k * bottom) // (bottom * d) + 1
-            if loops <= 0:
-                continue
-            w = chart.weights_of_power(k * chart.m // d)
-            dim = w[1:].count(0)
-            if dim != stratum.complex_dim:
-                raise InvalidPresentation(
-                    [
-                        "stratum (|G|=%d, %r): chart %r gives dimension %d for "
-                        "element k=%d, stratum records %d"
-                        % (d, stratum.component_id, chart.label, dim,
-                           k, stratum.complex_dim)
-                    ]
-                )
-            lsft = 2 * _scaled_value(r, w) - 2 * D
+            km = k * m // d
+            dim = dims[gcd(km, m)]
+            lsft = 2 * values[km - 1] - 2 * D
             lcz = lsft - (n - 3) * D
-            rs = lcz + dim * D
-            for ell in range(loops):
-                step = ell * shift
-                families.append(
-                    OrbitFamily(
-                        isotropy_order=d,
-                        k=k,
-                        ell=ell,
-                        component_id=stratum.component_id,
-                        period=Fraction(ell * d + k, d),
-                        stratum_dim=dim,
-                        rs=Fraction(rs + step, D),
-                        lcz=Fraction(lcz + step, D),
-                        z2=z2,
-                        lsft=Fraction(lsft + step, D),
-                    )
+            towers.append(OrbitTower(stratum, k, D, shift, lcz + dim * D, lcz, lsft, dim))
+    return towers
+
+
+def _tower_families(p, spans):
+    """OrbitFamily for every ell in first_ell <= ell < stop of each
+    (tower, stop) pair, sorted by OrbitFamily.sort_key."""
+    z2 = (p.n - 1) % 2
+    families = []
+    for tower, stop in spans:
+        stratum, k, D, shift, rs0, lcz0, lsft0, dim = tower
+        d = stratum.isotropy_order
+        component = stratum.component_id
+        for ell in range(tower.first_ell, stop):
+            step = ell * shift
+            families.append(
+                OrbitFamily(
+                    isotropy_order=d,
+                    k=k,
+                    ell=ell,
+                    component_id=component,
+                    period=Fraction(ell * d + k, d),
+                    stratum_dim=dim,
+                    rs=Fraction(rs0 + step, D),
+                    lcz=Fraction(lcz0 + step, D),
+                    z2=z2,
+                    lsft=Fraction(lsft0 + step, D),
                 )
+            )
     # OrbitFamily.sort_key with the period scaled to an integer by the lcm
     # of the isotropy orders, which every period's denominator divides.
     N = p.isotropy_lcm
@@ -236,6 +262,47 @@ def enumerate_families(p, max_period):
         )
     )
     return families
+
+
+def _period_spans(towers, max_period):
+    """(tower, stop) pairs for the loops with period ell + k/|G| <= max_period,
+    towers without such a loop left out; a kept tower's dimension is checked."""
+    top, bottom = max_period.numerator, max_period.denominator
+    spans = []
+    for tower in towers:
+        d = tower.stratum.isotropy_order
+        stop = (top * d - tower.k * bottom) // (bottom * d) + 1
+        if stop > tower.first_ell:
+            tower.check_dimension()
+            spans.append((tower, stop))
+    return spans
+
+
+def enumerate_families(p, max_period):
+    """All orbit families with 0 < period <= max_period, indices included,
+    read off the tower table."""
+    max_period = Fraction(max_period)
+    if max_period <= 0:
+        raise ValueError("max_period must be positive")
+    return _tower_families(p, _period_spans(orbit_towers(p), max_period))
+
+
+def engines_agree(p, w, max_period):
+    """Whether the diagonal-path engine of the weighted action w reproduces
+    the tower numerators of every family with period <= max_period.
+
+    The comparison is in integers, rs*D == rs0 + ell*shift and the same for
+    lcz and lsft, over the families enumerate_families(p, max_period) lists.
+    """
+    for tower, stop in _period_spans(orbit_towers(p), Fraction(max_period)):
+        stratum, k, D, shift, rs0, lcz0, lsft0, _ = tower
+        d = stratum.isotropy_order
+        for ell in range(tower.first_ell, stop):
+            step = ell * shift
+            rs, lcz, lsft = index_of_family_weighted(w, d, k, ell)
+            if rs * D != rs0 + step or lcz * D != lcz0 + step or lsft * D != lsft0 + step:
+                return False
+    return True
 
 
 def inf_lsft(p):

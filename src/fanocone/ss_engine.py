@@ -11,7 +11,7 @@ degree is certified, via the survivor argument.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .reeb_orbits import enumerate_families, inf_lsft
+from .reeb_orbits import _tower_families, orbit_towers
 
 __all__ = [
     "CertificationError",
@@ -58,23 +58,28 @@ class SHProfile:
 def assemble_e1(p, max_degree):
     """All page entries of total degree at most max_degree.
 
-    Completeness: every family has lsft >= inf lSFT, so lcz >= inf lSFT
-    - (n - 3), and each extra loop adds 2R; the period cutoff taken from
-    inf lSFT therefore covers every degree up to the bound.  The
-    filtration index N * period is the integer ell*N + k*(N // |G|).
+    Completeness comes from the degree bound of each orbit tower: an entry
+    has degree lcz + j >= lcz, and loop ell of a tower has lcz equal to
+    (lcz0 + ell*shift)/D with shift > 0, so the loops that can carry an
+    entry are exactly those with lcz0 + ell*shift <= max_degree*D, counted
+    in integers.  Every tower's dimension is checked, whether or not one
+    of its loops is under the bound.
+    The filtration index N * period is the integer ell*N + k*(N // |G|).
     """
-    inf_value = inf_lsft(p)  # validates p and requires R > 0
     max_degree = Fraction(max_degree)
+    top, bottom = max_degree.numerator, max_degree.denominator
+    spans = []
+    for tower in orbit_towers(p):  # validates p, so R > 0
+        tower.check_dimension()
+        stop = (top * tower.D - bottom * tower.lcz0) // (bottom * tower.shift) + 1
+        if stop > tower.first_ell:
+            spans.append((tower, stop))
     n = p.n
     N = p.isotropy_lcm
-    extra_loops = (max_degree - inf_value + n - 3) / (2 * p.r)
-    cutoff = 1 + (int(extra_loops) + 1 if extra_loops > 0 else 0)
 
     strata = {(s.isotropy_order, s.component_id): s for s in p.strata}
     entries = {}
-    for family in enumerate_families(p, cutoff):
-        if family.lcz > max_degree:
-            continue
+    for family in _tower_families(p, spans):
         filtration = family.ell * N + family.k * (N // family.isotropy_order)
         stratum = strata[(family.isotropy_order, family.component_id)]
         for j, bj in enumerate(stratum.betti):

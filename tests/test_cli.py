@@ -7,19 +7,27 @@ import shlex
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
+
+import pytest
 
 import fanocone
 from fanocone import cone_model
 from fanocone.cli import build_verification_report, main
 from fanocone.cone_model import (
     ChartData,
+    ConePresentation,
     InputData,
+    Stratum,
     WeightedAction,
     from_weighted_action,
     input_from_dict,
     presentation_to_dict,
+    validate_presentation,
 )
-from fanocone.reeb_orbits import enumerate_families, index_of_family_weighted
+from fanocone.discrepancy import InvalidPresentation, minimal_discrepancy
+from fanocone.reeb_orbits import enumerate_families, index_of_family_weighted, inf_lsft
+from fanocone.ss_engine import assemble_e1
 
 from corpus import handbuilt_corpus, orbifold_point_cone
 
@@ -279,6 +287,53 @@ def test_engine_cross_check_can_fail(tmp_path, monkeypatch):
     code, out, err = run_cli(["verify", weighted_file(tmp_path, (3, 2, 1))])
     assert code == 1 and err == ""
     assert json.loads(out)["engines_agree"] is False
+
+
+def test_orphan_chart_exits_2(tmp_path):
+    # The centre of chart (3; 1,1) has isotropy Z_3, but no stratum has
+    # order 3: the chart scans would see elements no orbit family carries.
+    p = ConePresentation(n=2, r=Fraction(1), strata=(Stratum(1, "0", 1, (1, 0, 1), "c"),),
+                         charts=(ChartData(m=3, weights=(1, 1), label="c"),))
+    assert validate_presentation(p) == ["chart 'c': no stratum has isotropy order m=3"]
+    for layer in (minimal_discrepancy, inf_lsft, lambda q: assemble_e1(q, 9)):
+        with pytest.raises(InvalidPresentation):
+            layer(p)
+    path = presentation_file(tmp_path, p)
+    for argv in (["verify", path], ["e1", path, "--max-degree", "9"]):
+        code, out, err = run_cli(argv)
+        assert code == 2 and out == ""
+        assert "no stratum has isotropy order m=3" in err
+
+
+def _dimension_mismatch_above_the_degree_bound():
+    """Point cone with charts (7; 1,1) and (2; 1,1), r = 3, and the same cone
+    whose order-2 stratum records dimension 1 where its chart gives 0.  That
+    stratum's one tower starts at lcz 3 and period 1/2, above the degree
+    bound 8/7 that verify builds its page up to."""
+    good = orbifold_point_cone(2, 7, (1,), 3, extra=[(2, (1,))])
+    strata = tuple(replace(s, complex_dim=1, betti=(1, 0, 1)) if s.isotropy_order == 2 else s
+                   for s in good.strata)
+    return good, replace(good, strata=strata)
+
+
+def test_dimension_check_covers_towers_above_the_degree_bound(tmp_path):
+    good, bad = _dimension_mismatch_above_the_degree_bound()
+    assert inf_lsft(good) + 3 - good.n + 1 == Fraction(8, 7)
+    assert min(f.lcz for f in enumerate_families(good, 3) if f.isotropy_order == 2) == 3
+    assert run_cli(["verify", presentation_file(tmp_path, good)])[0] == 0
+    path = presentation_file(tmp_path, bad, name="bad.json")
+    code, out, err = run_cli(["verify", path])
+    assert code == 2 and out == ""
+    assert "gives dimension 0 for element k=1, stratum records 1" in err
+
+
+def test_orbits_below_the_mismatched_tower_does_not_raise(tmp_path):
+    _, bad = _dimension_mismatch_above_the_degree_bound()
+    path = presentation_file(tmp_path, bad)
+    code, out, err = run_cli(["orbits", path, "--max-period", "1/4"])
+    assert code == 0 and err == ""
+    assert [(f["isotropy_order"], f["k"]) for f in json.loads(out)] == [(7, 1)]
+    assert run_cli(["orbits", path, "--max-period", "1/2"])[0] == 2
 
 
 def test_output_independent_of_hash_seed(tmp_path):

@@ -97,8 +97,12 @@ def _random_chart(rng, n, label):
 
 
 def _presentation_with_charts(n, r, charts):
+    # Each chart's centre has isotropy Z_m, so each chart with m > 1 gets a
+    # stratum of that order; the minimal discrepancy reads the charts only.
     betti = tuple(1 if j % 2 == 0 else 0 for j in range(2 * n - 1))
-    strata = (Stratum(1, "0", n - 1, betti, charts[0].label),)
+    strata = (Stratum(1, "0", n - 1, betti, charts[0].label),) + tuple(
+        Stratum(c.m, c.label, 0, (1,), c.label) for c in charts if c.m > 1
+    )
     return ConePresentation(n=n, r=Fraction(r), strata=strata, charts=tuple(charts))
 
 

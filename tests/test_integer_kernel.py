@@ -1,28 +1,28 @@
-"""The integer kernels against their Fraction reference implementations.
+"""The integer kernels against their reference implementations.
 
 enumerate_families, index_of_family_weighted, minimal_discrepancy and
 inf_lsft work on integer numerators; index_of_family_chart,
 rs_index_factor, discrepancy_oracle and chart_element_value are the
-per-element Fraction references.  assemble_e1, which takes its period
-cutoff from inf_lsft and its filtration index in integers, is checked
-against a page built from a period bound derived a priori and the
-Fraction product N * period.  Inputs are generated: weighted actions with
-entries up to 500 and orbifold point cones with non-integral r.
+per-element Fraction references.  assemble_e1, which bounds each orbit
+tower by the degree in integers, is checked against a page built from a
+period bound derived a priori and the Fraction product N * period, and
+engines_agree, which compares the diagonal-path engine with the tower
+numerators in integers, against the Fraction comparison over
+enumerate_families.  from_weighted_action and admissible_partial_multiples,
+which work over divisors, are checked against the scans over every order
+they replaced.  Inputs are generated: weighted actions with entries up to
+500 and orbifold point cones with non-integral r.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from math import floor, gcd
 
 import pytest
 
-from fanocone.cone_model import (
-    ChartData,
-    ConePresentation,
-    Stratum,
-    WeightedAction,
-    from_weighted_action,
-)
+from fanocone.cone_model import WeightedAction, from_weighted_action
 from fanocone.discrepancy import (
+    InvalidPresentation,
     chart_element_value,
     discrepancy_oracle,
     minimal_discrepancy,
@@ -30,6 +30,7 @@ from fanocone.discrepancy import (
 from fanocone.reeb_orbits import (
     OrbitFamily,
     admissible_partial_multiples,
+    engines_agree,
     enumerate_families,
     index_of_family_chart,
     index_of_family_weighted,
@@ -171,15 +172,67 @@ def test_point_cone_e1_page_is_complete(p, max_degree):
     assert assemble_e1(p, max_degree).entries == reference_page(p, max_degree)
 
 
-def test_e1_page_complete_when_inf_lsft_undercuts_every_family():
-    # Chart (3; 1,1) that no stratum carries: inf_lsft sees its elements,
-    # the enumeration only the principal family, so the cutoff is larger
-    # than the families need and must still give the same page.
-    chart = ChartData(m=3, weights=(1, 1), label="c")
-    p = ConePresentation(n=2, r=Fraction(1), strata=(Stratum(1, "0", 1, (1, 0, 1), "c"),),
-                         charts=(chart,))
-    assert inf_lsft(p) < min(f.lsft for f in enumerate_families(p, 1))
-    for max_degree in (0, 1, 9, Fraction(25, 2)):
-        page = assemble_e1(p, max_degree)
-        assert page.entries == reference_page(p, max_degree)
-    assert page.entries
+def reference_realized_orders(a):
+    """from_weighted_action's stratum orders by the scan of every d <= max(a)."""
+    out = {}
+    for d in range(1, max(a) + 1):
+        axes = [i for i, ai in enumerate(a) if ai % d == 0]
+        if axes and gcd(*[a[i] for i in axes]) == d:
+            out[d] = len(axes) - 1
+    return out
+
+
+@SETTINGS
+@given(weight_vectors)
+def test_weighted_strata_match_the_scan_over_all_orders(a):
+    p = from_weighted_action(WeightedAction(tuple(a)))
+    assert {s.isotropy_order: s.complex_dim for s in p.strata} == reference_realized_orders(a)
+    assert [s.isotropy_order for s in p.strata] == sorted(reference_realized_orders(a))
+
+
+def reference_admissible(orders, d):
+    """admissible_partial_multiples testing each k against every smaller order."""
+    smaller = [dp for dp in orders if dp < d and d % dp == 0]
+    return [k for k in range(1, d)
+            if not any(dp % (d // gcd(k, d)) == 0 for dp in smaller)]
+
+
+@SETTINGS
+@given(st.integers(1, 2000), st.lists(st.integers(1, 2000), max_size=8))
+def test_admissible_partial_multiples_match_the_pairwise_test(d, others):
+    # Orders that divide d, as in a stratification, and arbitrary ones.
+    orders = sorted({1, d} | {gcd(x, d) for x in others} | set(others))
+    assert admissible_partial_multiples(orders, d) == reference_admissible(orders, d)
+
+
+def reference_engines_agree(p, w):
+    """The diagonal-path engine against the Fraction indices of every family
+    with period <= 3."""
+    return all(index_of_family_weighted(w, f.isotropy_order, f.k, f.ell)
+               == (f.rs, f.lcz, f.lsft) for f in enumerate_families(p, MAX_PERIOD))
+
+
+@SETTINGS
+@given(weight_vectors, st.booleans(), st.data())
+def test_integer_cross_check_matches_fraction_comparison(a, perturb, data):
+    w = WeightedAction(tuple(a))
+    p = from_weighted_action(w)
+    movable = [c for c in p.charts if c.m > 1]
+    if perturb and movable:
+        # Move one tail weight of one chart; fiber weights stay units.
+        chart = data.draw(st.sampled_from(movable))
+        i = data.draw(st.integers(1, p.n - 1))
+        new = data.draw(st.integers(0, chart.m - 1).filter(lambda x: x != chart.weights[i]))
+        weights = chart.weights[:i] + (new,) + chart.weights[i + 1:]
+        charts = tuple(replace(c, weights=weights) if c is chart else c for c in p.charts)
+        p = replace(p, charts=charts)
+    try:
+        expected = reference_engines_agree(p, w)
+    except InvalidPresentation:
+        # The moved weight changed an element's fixed dimension.
+        with pytest.raises(InvalidPresentation):
+            engines_agree(p, w, MAX_PERIOD)
+        return
+    assert engines_agree(p, w, MAX_PERIOD) is expected
+    if not (perturb and movable):
+        assert expected

@@ -16,10 +16,12 @@ from .cone_model import (
 from .discrepancy import DiscrepancyResult, minimal_discrepancy, shokurov_check
 from .reeb_orbits import (
     OrbitFamily,
+    TowerTable,
     enumerate_families,
     index_of_family_chart,
     index_of_family_weighted,
     inf_lsft,
+    tower_table,
 )
 from .ss_engine import (
     E1Page,

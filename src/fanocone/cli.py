@@ -1,8 +1,9 @@
 """Command-line front end: exact invariant reports from presentation files.
 
 Exit codes: 0 success, 1 central-identity failure (implementation bug),
-2 malformed input.  All payloads are deterministic: rationals as "p/q"
-strings, sorted keys, no timestamps.
+2 malformed input, or input over the chart order limit
+cone_model.MAX_CHART_ORDER.  All payloads are deterministic: rationals as
+"p/q" strings, sorted keys, no timestamps.
 """
 
 import argparse
@@ -11,6 +12,7 @@ import sys
 from fractions import Fraction
 
 from .cone_model import (
+    MAX_CHART_ORDER,
     SchemaError,
     WeightedAction,
     input_from_dict,
@@ -19,7 +21,7 @@ from .cone_model import (
 from .discrepancy import InvalidPresentation, minimal_discrepancy
 from .orb_topology import wps_cohomology
 from .rationals import format_rational, parse_rational
-from .reeb_orbits import engines_agree, enumerate_families, inf_lsft
+from .reeb_orbits import engines_agree, enumerate_families, inf_lsft, tower_table
 from .ss_engine import (
     CertificationError,
     assemble_e1,
@@ -119,7 +121,7 @@ def cmd_md(args, out):
 def cmd_orbits(args, out):
     data = _load_input(args.input)
     max_period = parse_rational(args.max_period)
-    families = enumerate_families(data.presentation, max_period)
+    families = enumerate_families(tower_table(data.presentation), max_period)
     _emit([_family_dict(f) for f in families], out, as_text=args.text)
     return EXIT_OK
 
@@ -161,7 +163,7 @@ def _e1_table(page):
 
 def cmd_e1(args, out):
     data = _load_input(args.input)
-    page = assemble_e1(data.presentation, parse_rational(args.max_degree))
+    page = assemble_e1(tower_table(data.presentation), parse_rational(args.max_degree))
     _emit(_e1_table(page), out, as_text=args.text)
     return EXIT_OK
 
@@ -169,8 +171,9 @@ def cmd_e1(args, out):
 def cmd_shmin(args, out):
     data = _load_input(args.input)
     pres = data.presentation
-    floor_degree = inf_lsft(pres) + 3 - pres.n
-    page = assemble_e1(pres, floor_degree + 1)
+    table = tower_table(pres)
+    floor_degree = inf_lsft(table) + 3 - pres.n
+    page = assemble_e1(table, floor_degree + 1)
     profile = degenerate_ranks(page)
     _emit(
         {
@@ -201,13 +204,14 @@ def cmd_wps_cohomology(args, out):
 def build_verification_report(data, engine_period=3):
     pres = data.presentation
     n = pres.n
+    table = tower_table(pres)
     md_result = minimal_discrepancy(pres)
-    inf_value = inf_lsft(pres)
+    inf_value = inf_lsft(table)
     floor_degree = inf_value + 3 - n
-    page = assemble_e1(pres, floor_degree + 1)
+    page = assemble_e1(table, floor_degree + 1)
     sh_min = certify_min_degree(page).min_degree
 
-    agree = data.weighted is None or engines_agree(pres, data.weighted, engine_period)
+    agree = data.weighted is None or engines_agree(table, data.weighted, engine_period)
 
     thm13 = (2 * md_result.md == inf_value) and (inf_value == sh_min + n - 3)
     return {
@@ -242,6 +246,7 @@ def cmd_report(args, out):
     max_degree = parse_rational(args.max_degree)
     if max_degree <= 0:
         raise ValueError("--max-degree must be positive, got %s" % args.max_degree)
+    table = tower_table(pres)
     lines = []
     lines.append("presentation: n=%d r=%s strata=%d charts=%d" % (
         pres.n, format_rational(pres.r), len(pres.strata), len(pres.charts)))
@@ -253,18 +258,18 @@ def cmd_report(args, out):
         lines.append("  minimum attained by the bare ratio term r")
     for label, k in md_result.minimizers:
         lines.append("  minimizer: chart %s, element k=%d" % (label, k))
-    lines.append("inf lSFT: %s" % format_rational(inf_lsft(pres)))
+    lines.append("inf lSFT: %s" % format_rational(inf_lsft(table)))
 
     lines.append("")
     lines.append("orbit families (period <= %s):" % format_rational(max_degree))
     lines.append("  %-10s %-4s %-4s %-8s %-8s %-8s %-8s" % (
         "|G|", "k", "ell", "period", "rs", "lcz", "lsft"))
-    for f in enumerate_families(pres, max_degree):
+    for f in enumerate_families(table, max_degree):
         lines.append("  %-10d %-4d %-4d %-8s %-8s %-8s %-8s" % (
             f.isotropy_order, f.k, f.ell, format_rational(f.period),
             format_rational(f.rs), format_rational(f.lcz), format_rational(f.lsft)))
 
-    page = assemble_e1(pres, max_degree)
+    page = assemble_e1(table, max_degree)
     lines.append("")
     lines.append("E1 page entries (degree <= %s):" % format_rational(max_degree))
     lines.append("  %-6s %-10s %-4s %-6s %-4s" % ("p", "degree", "z2", "rank", "j"))
@@ -358,6 +363,12 @@ def main(argv=None, out=None, err=None):
         return args.func(args, out)
     except (SchemaError, InvalidPresentation, ValueError) as exc:
         err.write("error: %s\n" % exc)
+        return EXIT_INPUT
+    except MemoryError:
+        # Exit 1 is kept for identity failures; an input this process cannot
+        # hold is refused like any other it cannot process.
+        err.write("error: out of memory (charts are limited to order m <= "
+                  "MAX_CHART_ORDER = %d)\n" % MAX_CHART_ORDER)
         return EXIT_INPUT
     except CertificationError as exc:
         err.write("identity failure: %s\n" % exc)

@@ -17,6 +17,7 @@ from .rationals import format_rational, parse_rational
 __all__ = [
     "ChartData",
     "ConePresentation",
+    "MAX_CHART_ORDER",
     "SchemaError",
     "Stratum",
     "WeightedAction",
@@ -27,6 +28,11 @@ __all__ = [
 ]
 
 PRINCIPAL_COMPONENT = "0"
+
+# The largest chart order m accepted.  The md scan and the tower table are
+# O(m) in time and memory (a weighted action has charts of order a_j), so
+# a larger chart is refused up front rather than run out of time or memory.
+MAX_CHART_ORDER = 10**6
 
 
 class SchemaError(Exception):
@@ -136,6 +142,11 @@ def validate_presentation(p):
         if c.m < 1:
             violations.append("chart %r: m must be positive" % c.label)
             continue
+        if c.m > MAX_CHART_ORDER:
+            violations.append(
+                "chart %r: m=%d exceeds the chart order limit MAX_CHART_ORDER = %d"
+                % (c.label, c.m, MAX_CHART_ORDER)
+            )
         if len(c.weights) != p.n:
             violations.append(
                 "chart %r: expected %d weights, got %d" % (c.label, p.n, len(c.weights))
@@ -214,6 +225,11 @@ def from_weighted_action(w):
     """
     a = w.a
     n = w.n
+    if max(a) > MAX_CHART_ORDER:
+        raise ValueError(
+            "weight %d exceeds the chart order limit MAX_CHART_ORDER = %d"
+            % (max(a), MAX_CHART_ORDER)
+        )
     r = Fraction(sum(a))
 
     charts = []
@@ -309,10 +325,11 @@ def input_from_dict(d):
             raise SchemaError("weights must be an integer array")
         try:
             action = WeightedAction(tuple(weights))
+            presentation = from_weighted_action(action)
         except ValueError as exc:
             raise SchemaError(str(exc)) from exc
         return InputData(
-            presentation=from_weighted_action(action),
+            presentation=presentation,
             weighted=action,
             homology_sphere_link=hsl,
         )

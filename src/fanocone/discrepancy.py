@@ -57,11 +57,10 @@ def discrepancy_oracle(chart, r):
     return [(k, chart_element_value(chart, r, k)) for k in range(1, chart.m)]
 
 
-def _scaled_values(chart, r):
-    """m*den(r) times chart_element_value of the elements k = 1..m-1 of a
-    chart, in order of k, summed one weight column at a time."""
+def _scaled_values(chart, r, ks):
+    """m*den(r) times chart_element_value of the chart elements ks, in
+    their order, summed one weight column at a time."""
     m = chart.m
-    ks = range(1, m)
     rn, rd = r.numerator, r.denominator
     fiber, *rest = chart.weights
     values = [k * fiber % m * rn for k in ks]
@@ -78,7 +77,7 @@ def minimal_discrepancy(p):
     best = Fraction(p.r)
     minimizers = []
     for chart in p.charts:
-        values = _scaled_values(chart, p.r)
+        values = _scaled_values(chart, p.r, range(1, chart.m))
         if not values:
             continue
         low = min(values)

@@ -2,16 +2,19 @@
 
 Every orbit family contributes the homology of its stratum, shifted so
 the degree of the H_j block entry is lcz + j; the filtration index is
-N * period with N the lcm of the isotropy orders.  When the page is
+N * period with N the lcm of the isotropy orders.  The page is read off
+the command's tower table (reeb_orbits.tower_table).  When the page is
 monochromatic in the Z2 grading every differential vanishes and the page
 computes the homology outright; otherwise only the minimal nonzero
-degree is certified, via the survivor argument.
+degree is certified, via the survivor argument.  With b0 >= 1 validated
+for every stratum, that argument reduces to reading the degree of the
+minimal H_0 entry (see certify_min_degree).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .reeb_orbits import _tower_families, orbit_towers
+from .reeb_orbits import _tower_families
 
 __all__ = [
     "CertificationError",
@@ -55,31 +58,39 @@ class SHProfile:
     ranks: dict  # degree -> rank, populated only when degenerate
 
 
-def assemble_e1(p, max_degree):
-    """All page entries of total degree at most max_degree.
+def assemble_e1(table, max_degree):
+    """All page entries of total degree at most max_degree, read off the
+    tower table.
 
     Completeness comes from the degree bound of each orbit tower: an entry
     has degree lcz + j >= lcz, and loop ell of a tower has lcz equal to
     (lcz0 + ell*shift)/D with shift > 0, so the loops that can carry an
     entry are exactly those with lcz0 + ell*shift <= max_degree*D, counted
-    in integers.  Every tower's dimension is checked, whether or not one
+    in integers.  Every stratum's dimension is checked, whether or not one
     of its loops is under the bound.
     The filtration index N * period is the integer ell*N + k*(N // |G|).
     """
     max_degree = Fraction(max_degree)
     top, bottom = max_degree.numerator, max_degree.denominator
-    spans = []
-    for tower in orbit_towers(p):  # validates p, so R > 0
-        tower.check_dimension()
-        stop = (top * tower.D - bottom * tower.lcz0) // (bottom * tower.shift) + 1
-        if stop > tower.first_ell:
-            spans.append((tower, stop))
+    p = table.presentation
     n = p.n
+    rows = []
+    for column in table.strata:
+        column.check_dimension()
+        D, shift, first = column.D, column.shift, column.first_ell
+        # lcz0 = lsft0 - (n-3)*D; the first loop is under the bound when
+        # lcz0 + first*shift <= max_degree*D.
+        limit = top * D // bottom + (n - 3) * D - first * shift
+        for k, lsft0 in zip(column.ks, column.lsft0):
+            if lsft0 <= limit:
+                lcz0 = lsft0 - (n - 3) * D
+                stop = (top * D - bottom * lcz0) // (bottom * shift) + 1
+                rows.append((column, k, lsft0, stop))
     N = p.isotropy_lcm
 
     strata = {(s.isotropy_order, s.component_id): s for s in p.strata}
     entries = {}
-    for family in _tower_families(p, spans):
+    for family in _tower_families(table, rows):
         filtration = family.ell * N + family.k * (N // family.isotropy_order)
         stratum = strata[(family.isotropy_order, family.component_id)]
         for j, bj in enumerate(stratum.betti):
@@ -99,33 +110,23 @@ def certify_min_degree(page):
     """Minimal nonzero degree, certified by the Z2 survivor argument.
 
     The candidate is the H_0 class of minimal degree and maximal
-    filtration.  Any differential hitting it would come from an entry of
-    opposite Z2 grade one degree up with strictly larger filtration,
-    sitting in a block whose leading H_0 term undercuts the candidate;
-    the certifier checks no such entry exists.
+    filtration cand_p.  A differential hitting it would come from an entry
+    of opposite Z2 grade one degree up at a filtration q > cand_p, in a
+    block whose family has lcz <= min_degree.  No entry lies below
+    min_degree, so that family has lcz == min_degree, and since every
+    stratum has b0 >= 1 (validated) its own H_0 entry sits at
+    (q, min_degree): a candidate, so q <= cand_p.  No such attacker can
+    exist on a page of a validated presentation, and the certificate is
+    the H_0 entry at the minimal degree; the page must hold one.
     """
     if not page.entries:
         raise CertificationError("empty page")
     min_degree = min(key[1] for key in page.entries)
-    candidates = [
-        key
+    if not any(
+        key[1] == min_degree and any(e.homology_degree == 0 for e in entries)
         for key, entries in page.entries.items()
-        if key[1] == min_degree and any(e.homology_degree == 0 for e in entries)
-    ]
-    if not candidates:
+    ):
         raise CertificationError("no H_0 entry at the minimal degree")
-    cand_p = max(key[0] for key in candidates)
-    cand_z2 = (page.n - 1) % 2
-    for (q, degree, z2), entries in page.entries.items():
-        if degree != min_degree + 1 or z2 == cand_z2 or q <= cand_p:
-            continue
-        for entry in entries:
-            # Leading H_0 term of the attacking block sits at the same
-            # filtration with degree lcz of the generating family.
-            if entry.family.lcz <= min_degree:
-                raise CertificationError(
-                    "survivor argument violated by block at p=%d degree %s" % (q, degree)
-                )
     return SHProfile(min_degree=min_degree, degenerate=False, ranks={})
 
 

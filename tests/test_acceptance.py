@@ -25,6 +25,7 @@ from fanocone.reeb_orbits import (
     enumerate_families,
     index_of_family_weighted,
     inf_lsft,
+    tower_table,
 )
 from fanocone.ss_engine import (
     assemble_e1,
@@ -77,11 +78,11 @@ def test_criterion_02_discrepancy_lsft_identity():
     failures = []
     handbuilt = 0
     for name, p in full_corpus():
-        if 2 * minimal_discrepancy(p).md != inf_lsft(p):
+        if 2 * minimal_discrepancy(p).md != inf_lsft(tower_table(p)):
             failures.append(name)
         if not name.startswith("weights"):
             handbuilt += 1
-        for f in enumerate_families(p, 2):
+        for f in enumerate_families(tower_table(p), 2):
             if not f.lsft > -2:
                 failures.append("%s family %s" % (name, (f.isotropy_order, f.k, f.ell)))
     ok = not failures and handbuilt >= 20
@@ -98,7 +99,7 @@ def test_criterion_03_homology_ball_tables():
     for w in cases:
         n = w.n
         bound = 4 * n + 2
-        profile = degenerate_ranks(assemble_e1(from_weighted_action(w), bound))
+        profile = degenerate_ranks(assemble_e1(tower_table(from_weighted_action(w)), bound))
         if not profile.degenerate or profile.ranks != expected_sh_homology_ball(n, bound):
             failures.append(w.a)
     elapsed = time.perf_counter() - start
@@ -110,9 +111,9 @@ def test_criterion_03_homology_ball_tables():
 def test_criterion_04_min_degree_chain():
     failures = []
     for name, p in full_corpus():
-        target = inf_lsft(p) + 3 - p.n
-        profile = certify_min_degree(assemble_e1(p, target + 1))
-        if profile.min_degree + p.n - 3 != inf_lsft(p):
+        target = inf_lsft(tower_table(p)) + 3 - p.n
+        profile = certify_min_degree(assemble_e1(tower_table(p), target + 1))
+        if profile.min_degree + p.n - 3 != inf_lsft(tower_table(p)):
             failures.append(name)
     report(4, "certified min degree + n - 3 = inf lSFT", not failures,
            "%d presentations" % len(full_corpus()))
@@ -122,7 +123,7 @@ def test_criterion_05_index_engine_duality():
     failures = []
     families = 0
     for w, p in weighted_presentations():
-        for f in enumerate_families(p, 3):
+        for f in enumerate_families(tower_table(p), 3):
             families += 1
             got = index_of_family_weighted(w, f.isotropy_order, f.k, f.ell)
             if got != (f.rs, f.lcz, f.lsft):
@@ -170,7 +171,7 @@ def test_criterion_07_orbit_structure():
     for name, p in full_corpus():
         R = Fraction(p.r)
         base = {}
-        for f in enumerate_families(p, 3):
+        for f in enumerate_families(tower_table(p), 3):
             if f.z2 != (p.n - 1) % 2:
                 failures.append("%s: z2" % name)
             if f.isotropy_order == 1 and f.rs != 2 * f.ell * R:

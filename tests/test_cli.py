@@ -6,15 +6,17 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import fanocone
-from fanocone import cone_model
+from fanocone import cli, cone_model, reeb_orbits, ss_engine
 from fanocone.cli import build_verification_report, main
 from fanocone.cone_model import (
+    MAX_CHART_ORDER,
     ChartData,
     ConePresentation,
     InputData,
@@ -26,7 +28,12 @@ from fanocone.cone_model import (
     validate_presentation,
 )
 from fanocone.discrepancy import InvalidPresentation, minimal_discrepancy
-from fanocone.reeb_orbits import enumerate_families, index_of_family_weighted, inf_lsft
+from fanocone.reeb_orbits import (
+    enumerate_families,
+    index_of_family_weighted,
+    inf_lsft,
+    tower_table,
+)
 from fanocone.ss_engine import assemble_e1
 
 from corpus import handbuilt_corpus, orbifold_point_cone
@@ -276,7 +283,7 @@ def test_engine_cross_check_can_fail(tmp_path, monkeypatch):
     assert build_verification_report(data)["engines_agree"] is False
     # Every loop count disagrees, so neither engine borrows the other's
     # values at any ell.
-    doctored_families = [f for f in enumerate_families(doctored, 3)
+    doctored_families = [f for f in enumerate_families(tower_table(doctored), 3)
                          if f.isotropy_order == 3]
     assert sorted({f.ell for f in doctored_families}) == [0, 1, 2]
     for f in doctored_families:
@@ -295,7 +302,8 @@ def test_orphan_chart_exits_2(tmp_path):
     p = ConePresentation(n=2, r=Fraction(1), strata=(Stratum(1, "0", 1, (1, 0, 1), "c"),),
                          charts=(ChartData(m=3, weights=(1, 1), label="c"),))
     assert validate_presentation(p) == ["chart 'c': no stratum has isotropy order m=3"]
-    for layer in (minimal_discrepancy, inf_lsft, lambda q: assemble_e1(q, 9)):
+    for layer in (minimal_discrepancy, lambda q: inf_lsft(tower_table(q)),
+                  lambda q: assemble_e1(tower_table(q), 9)):
         with pytest.raises(InvalidPresentation):
             layer(p)
     path = presentation_file(tmp_path, p)
@@ -318,11 +326,19 @@ def _dimension_mismatch_above_the_degree_bound():
 
 def test_dimension_check_covers_towers_above_the_degree_bound(tmp_path):
     good, bad = _dimension_mismatch_above_the_degree_bound()
-    assert inf_lsft(good) + 3 - good.n + 1 == Fraction(8, 7)
-    assert min(f.lcz for f in enumerate_families(good, 3) if f.isotropy_order == 2) == 3
+    assert inf_lsft(tower_table(good)) + 3 - good.n + 1 == Fraction(8, 7)
+    assert min(f.lcz for f in enumerate_families(tower_table(good), 3)
+               if f.isotropy_order == 2) == 3
     assert run_cli(["verify", presentation_file(tmp_path, good)])[0] == 0
     path = presentation_file(tmp_path, bad, name="bad.json")
     code, out, err = run_cli(["verify", path])
+    assert code == 2 and out == ""
+    assert "gives dimension 0 for element k=1, stratum records 1" in err
+
+
+def test_e1_checks_towers_above_its_degree_bound(tmp_path):
+    _, bad = _dimension_mismatch_above_the_degree_bound()
+    code, out, err = run_cli(["e1", presentation_file(tmp_path, bad), "--max-degree", "1"])
     assert code == 2 and out == ""
     assert "gives dimension 0 for element k=1, stratum records 1" in err
 
@@ -373,3 +389,101 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
     for argv in commands:
         code, out, err = run_cli(argv)
         assert code == 0 and err == "" and out, argv
+
+
+def _order_4_element_in_a_z8_tower():
+    """n=2, r=1, charts A=(8;1,5) and B=(4;1,3), strata of orders 1 and 8 on
+    A and 4 on B.  The element k=2 of the Z_8 point has order 4, but it fixes
+    no tail direction of A, so it stays in the Z_8 tower although a stratum
+    of order 4 exists elsewhere; it attains inf lSFT."""
+    charts = (ChartData(m=8, weights=(1, 5), label="A"), ChartData(m=4, weights=(1, 3), label="B"))
+    strata = (Stratum(1, "0", 1, (1, 0, 1), "A"), Stratum(8, "a", 0, (1,), "A"),
+              Stratum(4, "b", 0, (1,), "B"))
+    return ConePresentation(n=2, r=Fraction(1), strata=strata, charts=charts)
+
+
+def test_admissibility_is_read_from_the_stratum_chart(tmp_path):
+    p = _order_4_element_in_a_z8_tower()
+    assert [list(c.ks) for c in tower_table(p).strata] == [[0], list(range(1, 8)), [1, 2, 3]]
+    code, out, err = run_cli(["verify", presentation_file(tmp_path, p)])
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert (payload["md"], payload["inf_lsft"], payload["sh_min_degree"]) == ("-1/2", "-1/1", "0/1")
+    assert payload["thm13_holds"] is True
+
+
+def test_verify_and_report_build_the_tower_table_once(tmp_path, monkeypatch):
+    built = []
+    original = reeb_orbits.tower_table
+
+    def counting(p):
+        built.append(p)
+        return original(p)
+
+    for module in (cli, reeb_orbits, ss_engine):
+        if hasattr(module, "tower_table"):
+            monkeypatch.setattr(module, "tower_table", counting)
+    path = weighted_file(tmp_path, (5, 3, 2))
+    for argv in (["verify", path], ["report", path, "--max-degree", "12"]):
+        built.clear()
+        assert run_cli(argv)[0] == 0
+        assert len(built) == 1, argv
+
+
+def test_chart_order_limit(tmp_path, monkeypatch):
+    assert MAX_CHART_ORDER == 10**6
+    accepted = input_from_dict({"format": "fanocone/1", "kind": "weighted_action",
+                                "weights": [10**6, 1]})
+    assert validate_presentation(accepted.presentation) == []
+    for top in (10**7, 10**18):
+        start = time.perf_counter()
+        code, out, err = run_cli(["verify", weighted_file(tmp_path, (top, 1))])
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err == ("error: weight %d exceeds the chart order limit "
+                       "MAX_CHART_ORDER = 1000000\n" % top)
+    big = orbifold_point_cone(2, 10**7, (1,), 1)
+    code, out, err = run_cli(["verify", presentation_file(tmp_path, big)])
+    assert code == 2 and out == ""
+    assert "m=10000000 exceeds the chart order limit MAX_CHART_ORDER = 1000000" in err
+
+    def out_of_memory(p):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "tower_table", out_of_memory)
+    code, out, err = run_cli(["verify", weighted_file(tmp_path, (3, 2))])
+    assert code == 2 and out == ""
+    assert "out of memory" in err and "MAX_CHART_ORDER" in err
+
+
+def test_element_of_a_bigger_stratum_needs_that_stratum_to_be_big_enough(tmp_path):
+    # The element k=2 of the Z_4 point on chart (4; 1,2,3) fixes one tail
+    # direction, so it belongs to a curve of isotropy Z_2; the only stratum
+    # of order 2 here is a point, so the input is incoherent.
+    charts = (ChartData(m=4, weights=(1, 2, 3), label="A"),
+              ChartData(m=2, weights=(1, 1, 1), label="B"))
+    strata = (Stratum(1, "0", 2, (1, 0, 1, 0, 1), "A"), Stratum(4, "a", 0, (1,), "A"),
+              Stratum(2, "b", 0, (1,), "B"))
+    p = ConePresentation(n=3, r=Fraction(7), strata=strata, charts=charts)
+    assert validate_presentation(p) == []
+    code, out, err = run_cli(["verify", presentation_file(tmp_path, p)])
+    assert code == 2 and out == ""
+    assert "stratum (|G|=4, 'a'): chart 'A' gives dimension 1 for element k=2" in err
+    curve = replace(p, strata=strata[:2] + (Stratum(2, "b", 1, (1, 0, 1), "A"),))
+    assert [list(c.ks) for c in tower_table(curve).strata] == [[0], [1, 3], [1]]
+
+
+def test_verify_reads_inf_lsft_off_the_tower_table(tmp_path, monkeypatch):
+    # md comes from the chart scan and inf lSFT from the tower table, so a
+    # table whose first loops all sit one degree too high breaks 2*md = inf.
+    def raised(p):
+        table = reeb_orbits.tower_table(p)
+        return table._replace(strata=tuple(
+            column._replace(lsft0=[v + column.D for v in column.lsft0]) for column in table.strata))
+
+    monkeypatch.setattr(cli, "tower_table", raised)
+    code, out, err = run_cli(["verify", weighted_file(tmp_path, (3, 2))])
+    assert code == 1 and err == ""
+    payload = json.loads(out)
+    assert (payload["md"], payload["inf_lsft"], payload["sh_min_degree"]) == ("1/1", "3/1", "4/1")
+    assert payload["thm13_holds"] is False

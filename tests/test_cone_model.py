@@ -19,7 +19,7 @@ from fanocone.cone_model import (
 )
 from fanocone.discrepancy import minimal_discrepancy
 from fanocone.rationals import format_rational, parse_rational
-from fanocone.reeb_orbits import inf_lsft
+from fanocone.reeb_orbits import inf_lsft, tower_table
 
 from corpus import handbuilt_corpus, weighted_corpus
 
@@ -162,7 +162,7 @@ def test_permutation_invariance():
         p1 = from_weighted_action(w)
         p2 = from_weighted_action(WeightedAction(tuple(shuffled)))
         assert minimal_discrepancy(p1).md == minimal_discrepancy(p2).md
-        assert inf_lsft(p1) == inf_lsft(p2)
+        assert inf_lsft(tower_table(p1)) == inf_lsft(tower_table(p2))
 
 
 def test_presentation_round_trip():

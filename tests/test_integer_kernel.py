@@ -8,10 +8,14 @@ tower by the degree in integers, is checked against a page built from a
 period bound derived a priori and the Fraction product N * period, and
 engines_agree, which compares the diagonal-path engine with the tower
 numerators in integers, against the Fraction comparison over
-enumerate_families.  from_weighted_action and admissible_partial_multiples,
-which work over divisors, are checked against the scans over every order
-they replaced.  Inputs are generated: weighted actions with entries up to
-500 and orbifold point cones with non-integral r.
+enumerate_families; changing any one entry of the table must make that
+cross-check fail.  The tower table decides admissibility from each
+stratum's chart; on weighted actions, where the strata are nested, it
+must agree with the global rule admissible_partial_multiples.
+from_weighted_action and admissible_partial_multiples, which work over
+divisors, are checked against the scans over every order they replaced.
+Inputs are generated: weighted actions with entries up to 500 and
+orbifold point cones with non-integral r.
 """
 
 from dataclasses import replace
@@ -35,6 +39,7 @@ from fanocone.reeb_orbits import (
     index_of_family_chart,
     index_of_family_weighted,
     inf_lsft,
+    tower_table,
 )
 from fanocone.ss_engine import E1Entry, assemble_e1
 from fanocone.sympath_index import rs_index_factor
@@ -42,7 +47,7 @@ from fanocone.sympath_index import rs_index_factor
 from corpus import orbifold_point_cone
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 MAX_PERIOD = 3
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -74,7 +79,10 @@ def point_cones(draw):
 
 
 def reference_families(p, max_period):
-    """enumerate_families rebuilt per (stratum, k, ell) from the chart engine."""
+    """enumerate_families rebuilt per (stratum, k, ell) from the chart engine,
+    keeping k when the chart engine gives its element the stratum's own
+    dimension (on these coherent inputs an element that fixes more lies in
+    a bigger stratum)."""
     z2 = (p.n - 1) % 2
     principal = p.principal_stratum
     families = []
@@ -87,7 +95,10 @@ def reference_families(p, max_period):
         if d == 1:
             continue
         chart = p.chart(stratum.chart_ref)
-        for k in admissible_partial_multiples(p.isotropy_orders, d):
+        for k in range(1, d):
+            element = index_of_family_chart(chart, k * chart.m // d, 0, p.r, p.r, p.n)
+            if element.stratum_dim != stratum.complex_dim:
+                continue
             ell = 0
             while ell + Fraction(k, d) <= max_period:
                 idx = index_of_family_chart(chart, k * chart.m // d, ell, p.r, p.r, p.n)
@@ -116,7 +127,7 @@ def assert_scans_match_references(p):
     for chart in p.charts:
         for k in range(1, chart.m):
             lowest = min(lowest, 2 * chart_element_value(chart, p.r, k) - 2)
-    value = inf_lsft(p)
+    value = inf_lsft(tower_table(p))
     assert value == lowest and isinstance(value, Fraction)
 
 
@@ -125,7 +136,7 @@ def assert_scans_match_references(p):
 def test_weighted_actions_match_references(a):
     w = WeightedAction(tuple(a))
     p = from_weighted_action(w)
-    families = enumerate_families(p, MAX_PERIOD)
+    families = enumerate_families(tower_table(p), MAX_PERIOD)
     assert families == reference_families(p, MAX_PERIOD)
     for f in families:
         T = f.period
@@ -138,8 +149,11 @@ def test_weighted_actions_match_references(a):
 
 @SETTINGS
 @given(point_cones(), st.fractions(min_value=Fraction(1, 7), max_value=4, max_denominator=7))
+# Chart orders that divide each other: the element k=2 of the Z_4 point has
+# order 2 and still belongs to the Z_4 tower.
+@example(orbifold_point_cone(2, 4, (1,), 1, extra=[(2, (1,))]), Fraction(1))
 def test_point_cones_match_references(p, max_period):
-    assert enumerate_families(p, max_period) == reference_families(p, max_period)
+    assert enumerate_families(tower_table(p), max_period) == reference_families(p, max_period)
     assert_scans_match_references(p)
 
 
@@ -150,7 +164,7 @@ def reference_page(p, max_degree):
     bound = 2 + floor((max_degree + p.n - 1) / (2 * p.r))
     strata = {(s.isotropy_order, s.component_id): s for s in p.strata}
     entries = {}
-    for f in enumerate_families(p, max(bound, 1)):
+    for f in enumerate_families(tower_table(p), max(bound, 1)):
         betti = strata[(f.isotropy_order, f.component_id)].betti
         for j, bj in enumerate(betti):
             if bj and f.lcz + j <= max_degree:
@@ -163,13 +177,13 @@ def reference_page(p, max_degree):
 @given(weight_vectors, degree_bounds)
 def test_weighted_e1_page_is_complete(a, max_degree):
     p = from_weighted_action(WeightedAction(tuple(a)))
-    assert assemble_e1(p, max_degree).entries == reference_page(p, max_degree)
+    assert assemble_e1(tower_table(p), max_degree).entries == reference_page(p, max_degree)
 
 
 @SETTINGS
 @given(point_cones(), degree_bounds)
 def test_point_cone_e1_page_is_complete(p, max_degree):
-    assert assemble_e1(p, max_degree).entries == reference_page(p, max_degree)
+    assert assemble_e1(tower_table(p), max_degree).entries == reference_page(p, max_degree)
 
 
 def reference_realized_orders(a):
@@ -209,7 +223,7 @@ def reference_engines_agree(p, w):
     """The diagonal-path engine against the Fraction indices of every family
     with period <= 3."""
     return all(index_of_family_weighted(w, f.isotropy_order, f.k, f.ell)
-               == (f.rs, f.lcz, f.lsft) for f in enumerate_families(p, MAX_PERIOD))
+               == (f.rs, f.lcz, f.lsft) for f in enumerate_families(tower_table(p), MAX_PERIOD))
 
 
 @SETTINGS
@@ -231,8 +245,63 @@ def test_integer_cross_check_matches_fraction_comparison(a, perturb, data):
     except InvalidPresentation:
         # The moved weight changed an element's fixed dimension.
         with pytest.raises(InvalidPresentation):
-            engines_agree(p, w, MAX_PERIOD)
+            engines_agree(tower_table(p), w, MAX_PERIOD)
         return
-    assert engines_agree(p, w, MAX_PERIOD) is expected
+    assert engines_agree(tower_table(p), w, MAX_PERIOD) is expected
     if not (perturb and movable):
         assert expected
+
+
+@SETTINGS
+@given(weight_vectors)
+def test_chart_local_admissibility_matches_the_global_rule(a):
+    p = from_weighted_action(WeightedAction(tuple(a)))
+    table = tower_table(p)
+    assert [column.stratum for column in table.strata] == (
+        [p.principal_stratum] + [s for s in p.strata if s.isotropy_order != 1])
+    for column in table.strata[1:]:
+        d = column.stratum.isotropy_order
+        assert list(column.ks) == admissible_partial_multiples(p.isotropy_orders, d)
+        assert column.mismatch is None
+
+
+def _changed_tables(table):
+    """(table with one entry changed, a period bound covering that entry):
+    every lsft0 entry, bounded by the period of its tower's first loop,
+    and each column's D, shift and stratum dimension, bounded by 3.  One
+    more change per column moves the dimension and every lsft0 entry
+    together so that rs stays the same and only lcz and lsft change, and
+    one moves n and every lsft0 entry so that only lsft changes."""
+    p = table.presentation
+    yield table._replace(presentation=replace(p, n=p.n + 1), strata=tuple(
+        column._replace(lsft0=[v + column.D for v in column.lsft0])
+        for column in table.strata)), MAX_PERIOD
+    for i, column in enumerate(table.strata):
+        d = column.stratum.isotropy_order
+        more = replace(column.stratum, complex_dim=column.stratum.complex_dim + 1)
+        variants = [
+            (column._replace(D=column.D + 1), MAX_PERIOD),
+            (column._replace(shift=column.shift + 1), MAX_PERIOD),
+            (column._replace(stratum=more), MAX_PERIOD),
+            (column._replace(stratum=more, lsft0=[v - column.D for v in column.lsft0]),
+             MAX_PERIOD),
+        ]
+        for j, k in enumerate(column.ks):
+            lsft0 = list(column.lsft0)
+            lsft0[j] += 1
+            variants.append((column._replace(lsft0=lsft0), Fraction(k, d) if k else 1))
+        for variant, max_period in variants:
+            strata = table.strata[:i] + (variant,) + table.strata[i + 1:]
+            yield table._replace(strata=strata), max_period
+
+
+@SETTINGS
+@given(st.integers(2, 4)
+       .flatmap(lambda n: st.lists(st.integers(1, 24), min_size=n, max_size=n))
+       .filter(lambda a: gcd(*a) == 1))
+def test_cross_check_fails_on_any_changed_table_entry(a):
+    w = WeightedAction(tuple(a))
+    table = tower_table(from_weighted_action(w))
+    assert engines_agree(table, w, MAX_PERIOD)
+    for changed, max_period in _changed_tables(table):
+        assert not engines_agree(changed, w, max_period)

@@ -13,6 +13,7 @@ from fanocone.reeb_orbits import (
     index_of_family_chart,
     index_of_family_weighted,
     inf_lsft,
+    tower_table,
 )
 
 from corpus import handbuilt_corpus, orbifold_point_cone, weighted_corpus
@@ -76,7 +77,7 @@ def test_admissible_partial_multiples():
 
 def test_enumerate_families_111():
     p = from_weighted_action(WeightedAction((1, 1, 1)))
-    fams = enumerate_families(p, 2)
+    fams = enumerate_families(tower_table(p), 2)
     assert [(f.isotropy_order, f.k, f.ell, f.period) for f in fams] == [
         (1, 0, 1, 1),
         (1, 0, 2, 2),
@@ -87,7 +88,7 @@ def test_enumerate_families_111():
 
 def test_enumerate_families_21():
     p = from_weighted_action(WeightedAction((2, 1)))
-    fams = enumerate_families(p, 1)
+    fams = enumerate_families(tower_table(p), 1)
     assert [(f.isotropy_order, f.k, f.ell, f.period) for f in fams] == [
         (2, 1, 0, Fraction(1, 2)),
         (1, 0, 1, 1),
@@ -98,9 +99,9 @@ def test_enumerate_families_21():
 
 def test_enumerate_families_small_period_empty():
     p = from_weighted_action(WeightedAction((5, 3)))
-    assert enumerate_families(p, Fraction(1, 10)) == []
+    assert enumerate_families(tower_table(p), Fraction(1, 10)) == []
     with pytest.raises(ValueError):
-        enumerate_families(p, 0)
+        enumerate_families(tower_table(p), 0)
 
 
 def test_enumerate_rejects_incoherent_stratum_dims():
@@ -118,13 +119,13 @@ def test_enumerate_rejects_incoherent_stratum_dims():
     )
     bad = type(base)(n=base.n, r=base.r, strata=bad_strata, charts=base.charts)
     with pytest.raises(InvalidPresentation):
-        enumerate_families(bad, 1)
+        enumerate_families(tower_table(bad), 1)
 
 
 def test_inf_lsft_examples():
-    assert inf_lsft(from_weighted_action(WeightedAction((1, 1, 1)))) == 4
-    assert inf_lsft(from_weighted_action(WeightedAction((2, 1)))) == 2
-    assert inf_lsft(from_weighted_action(WeightedAction((3, 2)))) == 2
+    assert inf_lsft(tower_table(from_weighted_action(WeightedAction((1, 1, 1))))) == 4
+    assert inf_lsft(tower_table(from_weighted_action(WeightedAction((2, 1))))) == 2
+    assert inf_lsft(tower_table(from_weighted_action(WeightedAction((3, 2))))) == 2
 
 
 def _sample_corpus(rng, count):
@@ -136,7 +137,7 @@ def test_principal_and_shift_properties():
     rng = random.Random(31)
     for p in _sample_corpus(rng, 40):
         R = Fraction(p.r)
-        fams = enumerate_families(p, 3)
+        fams = enumerate_families(tower_table(p), 3)
         base = {}
         for f in fams:
             assert f.z2 == (p.n - 1) % 2
@@ -156,15 +157,15 @@ def test_monotone_growth_of_the_infimum():
     # attained at ell = 0 (or the first principal loop).
     rng = random.Random(13)
     for p in _sample_corpus(rng, 25):
-        fams = enumerate_families(p, 4)
-        assert min(f.lsft for f in fams) == inf_lsft(p)
+        fams = enumerate_families(tower_table(p), 4)
+        assert min(f.lsft for f in fams) == inf_lsft(tower_table(p))
 
 
 def test_dual_engine_agreement_sample():
     rng = random.Random(5)
     for w in rng.sample(weighted_corpus(), 60):
         p = from_weighted_action(w)
-        for f in enumerate_families(p, 3):
+        for f in enumerate_families(tower_table(p), 3):
             got = index_of_family_weighted(w, f.isotropy_order, f.k, f.ell)
             assert got == (f.rs, f.lcz, f.lsft), (w.a, f)
 
@@ -172,4 +173,4 @@ def test_dual_engine_agreement_sample():
 def test_identity_with_discrepancy_sample():
     rng = random.Random(77)
     for p in _sample_corpus(rng, 40):
-        assert 2 * minimal_discrepancy(p).md == inf_lsft(p)
+        assert 2 * minimal_discrepancy(p).md == inf_lsft(tower_table(p))

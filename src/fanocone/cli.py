@@ -12,7 +12,6 @@ import sys
 from fractions import Fraction
 
 from .cone_model import (
-    MAX_CHART_ORDER,
     SchemaError,
     WeightedAction,
     input_from_dict,
@@ -367,8 +366,7 @@ def main(argv=None, out=None, err=None):
     except MemoryError:
         # Exit 1 is kept for identity failures; an input this process cannot
         # hold is refused like any other it cannot process.
-        err.write("error: out of memory (charts are limited to order m <= "
-                  "MAX_CHART_ORDER = %d)\n" % MAX_CHART_ORDER)
+        err.write("error: out of memory\n")
         return EXIT_INPUT
     except CertificationError as exc:
         err.write("identity failure: %s\n" % exc)

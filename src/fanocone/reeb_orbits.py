@@ -170,7 +170,7 @@ class StratumTowers(NamedTuple):
     stratum: object
     D: int
     shift: int
-    ks: object  # a range or a list of ints
+    ks: list
     lsft0: list
     mismatch: object
 
@@ -235,8 +235,6 @@ def _partial_multiples(p, stratum, chart):
             # The smallest k with gcd(k, d) = c is c itself, and c increases.
             if mismatch is None:
                 mismatch = (c, fixed)
-    if len(good) == len(proper):
-        return range(1, d), mismatch
     return [k for k in range(1, d) if gcd(k, d) in good], mismatch
 
 
@@ -253,7 +251,7 @@ def tower_table(p):
     r = p.r
     den = r.denominator
     columns = [
-        StratumTowers(p.principal_stratum, den, 2 * r.numerator, range(1), [-2 * den], None)
+        StratumTowers(p.principal_stratum, den, 2 * r.numerator, [0], [-2 * den], None)
     ]
     for stratum in p.strata:
         d = stratum.isotropy_order
@@ -263,7 +261,7 @@ def tower_table(p):
         m = chart.m
         ks, mismatch = _partial_multiples(p, stratum, chart)
         step = m // d
-        elements = range(step, m, step) if isinstance(ks, range) else [k * step for k in ks]
+        elements = [k * step for k in ks]
         D = m * den
         lsft0 = [2 * v - 2 * D for v in _scaled_values(chart, r, elements)]
         columns.append(StratumTowers(stratum, D, 2 * r.numerator * m, ks, lsft0, mismatch))

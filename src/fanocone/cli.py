@@ -19,7 +19,7 @@ from .cone_model import (
 )
 from .discrepancy import InvalidPresentation, minimal_discrepancy
 from .orb_topology import wps_cohomology
-from .rationals import format_rational, parse_rational
+from .rationals import format_ratio, format_rational, parse_rational
 from .reeb_orbits import engines_agree, enumerate_families, inf_lsft, tower_table
 from .ss_engine import (
     CertificationError,
@@ -85,18 +85,30 @@ def _emit(obj, out, as_text=False):
         out.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def _family_ratios(f):
+    """period, rs, lcz and lsft of f, rendered from its integer fields."""
+    d, D = f.isotropy_order, f.D
+    return (
+        format_ratio(f.ell * d + f.k, d),
+        format_ratio(f.rs_num, D),
+        format_ratio(f.lcz_num, D),
+        format_ratio(f.lsft_num, D),
+    )
+
+
 def _family_dict(f):
+    period, rs, lcz, lsft = _family_ratios(f)
     return {
         "isotropy_order": f.isotropy_order,
         "k": f.k,
         "ell": f.ell,
         "component_id": f.component_id,
-        "period": format_rational(f.period),
+        "period": period,
         "stratum_dim": f.stratum_dim,
-        "rs": format_rational(f.rs),
-        "lcz": format_rational(f.lcz),
+        "rs": rs,
+        "lcz": lcz,
         "z2": f.z2,
-        "lsft": format_rational(f.lsft),
+        "lsft": lsft,
     }
 
 
@@ -265,8 +277,7 @@ def cmd_report(args, out):
         "|G|", "k", "ell", "period", "rs", "lcz", "lsft"))
     for f in enumerate_families(table, max_degree):
         lines.append("  %-10d %-4d %-4d %-8s %-8s %-8s %-8s" % (
-            f.isotropy_order, f.k, f.ell, format_rational(f.period),
-            format_rational(f.rs), format_rational(f.lcz), format_rational(f.lsft)))
+            (f.isotropy_order, f.k, f.ell) + _family_ratios(f)))
 
     page = assemble_e1(table, max_degree)
     lines.append("")

@@ -2,10 +2,13 @@
 is a Fraction; the diagonal-path indices, always integral, are ints.
 
 External formats carry rationals as strings "p/q" with q > 0 and the
-fraction reduced; no floating point is accepted anywhere.
+fraction reduced; no floating point is accepted anywhere.  One rule
+renders them: format_ratio reduces an integer pair by its gcd, and
+format_rational applies it to an int or a Fraction.
 """
 
 from fractions import Fraction
+from math import gcd
 
 __all__ = ["parse_rational", "format_rational"]
 
@@ -27,7 +30,16 @@ def parse_rational(text):
         raise ValueError("not an exact rational: %r" % (text,)) from exc
 
 
+# format_ratio stays out of __all__, which names the module's layers for the
+# benchmark's span tracer (bench/tracer.py): it runs once per rendered value.
+def format_ratio(num, den):
+    """Render the integers num/den (den >= 1) as "p/q" in lowest terms."""
+    g = gcd(num, den)
+    return "%d/%d" % (num // g, den // g)
+
+
 def format_rational(x):
-    """Render a Fraction as "p/q" with q > 0 (q printed even when 1)."""
-    f = Fraction(x)
-    return "%d/%d" % (f.numerator, f.denominator)
+    """Render an int or a Fraction as "p/q" with q > 0 (q printed even when 1)."""
+    if not isinstance(x, (int, Fraction)):
+        raise TypeError("not an exact rational: %r" % (x,))
+    return format_ratio(x.numerator, x.denominator)

@@ -10,11 +10,12 @@ weighted circle actions on C^n, a diagonal-path engine summing one
 rotation factor per ambient coordinate.
 
 Both engines run on integers: chart-engine indices are numerators over
-the fixed denominator m*den(r) of the stratum's chart, and the
-diagonal-path indices are integers.  Fractions are built only for the
-returned values.  index_of_family_chart, index_of_family_weighted and
-the sympath_index factor are the per-family references the kernels are
-tested against.
+the fixed denominator D = m*den(r) of the stratum's chart, and the
+diagonal-path indices are integers.  An OrbitFamily keeps its integers:
+the numerators of rs, lcz and lsft over its stratum's D, from which its
+period, rs, lcz and lsft Fractions are built only when read.
+index_of_family_chart, index_of_family_weighted and the sympath_index
+factor are the per-family references the kernels are tested against.
 
 tower_table builds the integer table every reader shares, once per
 command: per stratum, the partial multiples k of its towers and the
@@ -53,19 +54,37 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class OrbitFamily:
+    """The family of period ell + k/|G| on one stratum, with its indices as
+    numerators over the stratum's D (m*den(r) for its chart, den(r) on the
+    principal stratum).  period, rs, lcz and lsft are the exact Fractions,
+    built when read."""
+
     isotropy_order: int
     k: int
     ell: int
     component_id: str
-    period: Fraction
     stratum_dim: int
-    rs: Fraction
-    lcz: Fraction
     z2: int
-    lsft: Fraction
+    D: int
+    rs_num: int
+    lcz_num: int
+    lsft_num: int
 
-    def sort_key(self):
-        return (self.period, self.isotropy_order, self.component_id, self.k)
+    @property
+    def period(self):
+        return Fraction(self.ell * self.isotropy_order + self.k, self.isotropy_order)
+
+    @property
+    def rs(self):
+        return Fraction(self.rs_num, self.D)
+
+    @property
+    def lcz(self):
+        return Fraction(self.lcz_num, self.D)
+
+    @property
+    def lsft(self):
+        return Fraction(self.lsft_num, self.D)
 
 
 @dataclass(frozen=True)
@@ -270,7 +289,8 @@ def tower_table(p):
 
 def _tower_families(table, rows):
     """OrbitFamily for every ell in first_ell <= ell < stop of each
-    (column, k, lsft0, stop) row, sorted by OrbitFamily.sort_key."""
+    (column, k, lsft0, stop) row, sorted by period, then isotropy order,
+    component and k."""
     n = table.presentation.n
     z2 = (n - 1) % 2
     families = []
@@ -284,21 +304,11 @@ def _tower_families(table, rows):
         for ell in range(column.first_ell, stop):
             step = ell * shift
             families.append(
-                OrbitFamily(
-                    isotropy_order=d,
-                    k=k,
-                    ell=ell,
-                    component_id=component,
-                    period=Fraction(ell * d + k, d),
-                    stratum_dim=dim,
-                    rs=Fraction(rs0 + step, D),
-                    lcz=Fraction(lcz0 + step, D),
-                    z2=z2,
-                    lsft=Fraction(lsft0 + step, D),
-                )
+                OrbitFamily(d, k, ell, component, dim, z2, D,
+                            rs0 + step, lcz0 + step, lsft0 + step)
             )
-    # OrbitFamily.sort_key with the period scaled to an integer by the lcm
-    # of the isotropy orders, which every period's denominator divides.
+    # The period scaled to an integer by the lcm of the isotropy orders,
+    # which every period's denominator divides.
     N = table.presentation.isotropy_lcm
     families.sort(
         key=lambda f: (

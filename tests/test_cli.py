@@ -9,6 +9,7 @@ import sys
 import time
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -28,6 +29,7 @@ from fanocone.cone_model import (
     validate_presentation,
 )
 from fanocone.discrepancy import InvalidPresentation, minimal_discrepancy
+from fanocone.rationals import format_rational
 from fanocone.reeb_orbits import (
     enumerate_families,
     index_of_family_weighted,
@@ -487,3 +489,52 @@ def test_verify_reads_inf_lsft_off_the_tower_table(tmp_path, monkeypatch):
     payload = json.loads(out)
     assert (payload["md"], payload["inf_lsft"], payload["sh_min_degree"]) == ("1/1", "3/1", "4/1")
     assert payload["thm13_holds"] is False
+
+
+def _fraction_family_dict(f):
+    """A family rendered from its Fraction values."""
+    return {
+        "isotropy_order": f.isotropy_order,
+        "k": f.k,
+        "ell": f.ell,
+        "component_id": f.component_id,
+        "period": format_rational(f.period),
+        "stratum_dim": f.stratum_dim,
+        "rs": format_rational(f.rs),
+        "lcz": format_rational(f.lcz),
+        "z2": f.z2,
+        "lsft": format_rational(f.lsft),
+    }
+
+
+def test_orbits_and_e1_render_the_fraction_values(tmp_path):
+    # The CLI renders each family from its integer numerators over D; the
+    # expected payloads are rendered from its Fraction properties.
+    corpus = dict(handbuilt_corpus())
+    inputs = [(weighted_file(tmp_path, a, name="w%d.json" % i),
+               from_weighted_action(WeightedAction(a)))
+              for i, a in enumerate([(2, 1), (3, 2, 1), (6, 4, 3), (5, 3, 2, 2)])]
+    inputs += [(presentation_file(tmp_path, corpus[name], name="h%d.json" % i), corpus[name])
+               for i, name in enumerate(("football-2-3", "3fold-7-24", "3fold-curve",
+                                         "a1-r=5/2", "veronese-3-4"))]
+    unreduced = 0
+    for path, p in inputs:
+        table = tower_table(p)
+        families = enumerate_families(table, 3)
+        unreduced += sum(gcd(f.lsft_num, f.D) > 1 for f in families)
+        code, out, err = run_cli(["orbits", path, "--max-period", "3"])
+        assert code == 0, err
+        assert json.loads(out) == [_fraction_family_dict(f) for f in families]
+
+        page = assemble_e1(table, 12)
+        expected = [
+            {"p": key[0], "degree": format_rational(key[1]), "z2": key[2],
+             "rank": entry.rank, "homology_degree": entry.homology_degree,
+             "family": _fraction_family_dict(entry.family)}
+            for key in page.keys_sorted() for entry in page.entries[key]
+        ]
+        code, out, err = run_cli(["e1", path, "--max-degree", "12"])
+        assert code == 0, err
+        assert expected and json.loads(out) == expected
+    # The sample exercises the reduction of the numerators.
+    assert unreduced > 0

@@ -39,6 +39,13 @@ def test_format_rational_always_prints_denominator():
     assert format_rational(Fraction(6, 4)) == "3/2"
 
 
+def test_format_rational_rejects_anything_but_int_or_fraction():
+    assert format_rational(-4) == "-4/1"
+    for value in (0.1, 1.0, "1/2", None):
+        with pytest.raises(TypeError):
+            format_rational(value)
+
+
 def test_weighted_action_validation():
     assert WeightedAction((2, 1)).n == 2
     with pytest.raises(ValueError):

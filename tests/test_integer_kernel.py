@@ -15,16 +15,23 @@ must agree with the global rule admissible_partial_multiples.
 from_weighted_action and admissible_partial_multiples, which work over
 divisors, are checked against the scans over every order they replaced.
 Inputs are generated: weighted actions with entries up to 500 and
-orbifold point cones with non-integral r.
+orbifold point cones with non-integral r.  On both, `verify` must hold
+the identity 2*md = inf lSFT = sh_min + n - 3 and exit 0.  format_ratio,
+the integer rule every family value is rendered by, is checked against
+the reduced Fraction.
 """
 
+import io
+import json
 from dataclasses import replace
 from fractions import Fraction
 from math import floor, gcd
+from typing import NamedTuple
 
 import pytest
 
-from fanocone.cone_model import WeightedAction, from_weighted_action
+from fanocone import cli
+from fanocone.cone_model import WeightedAction, from_weighted_action, presentation_to_dict
 from fanocone.discrepancy import (
     InvalidPresentation,
     chart_element_value,
@@ -32,7 +39,6 @@ from fanocone.discrepancy import (
     minimal_discrepancy,
 )
 from fanocone.reeb_orbits import (
-    OrbitFamily,
     admissible_partial_multiples,
     engines_agree,
     enumerate_families,
@@ -41,6 +47,7 @@ from fanocone.reeb_orbits import (
     inf_lsft,
     tower_table,
 )
+from fanocone.rationals import format_ratio, format_rational
 from fanocone.ss_engine import E1Entry, assemble_e1
 from fanocone.sympath_index import rs_index_factor
 
@@ -78,18 +85,42 @@ def point_cones(draw):
     return orbifold_point_cone(n, m, tail, Fraction(num, den), extra=extra)
 
 
+class FamilyValues(NamedTuple):
+    """The public values of an OrbitFamily, its indices as Fractions."""
+
+    isotropy_order: int
+    k: int
+    ell: int
+    component_id: str
+    period: Fraction
+    stratum_dim: int
+    rs: Fraction
+    lcz: Fraction
+    z2: int
+    lsft: Fraction
+
+
+def public_values(f):
+    return FamilyValues(f.isotropy_order, f.k, f.ell, f.component_id, f.period,
+                        f.stratum_dim, f.rs, f.lcz, f.z2, f.lsft)
+
+
+def sort_key(f):
+    return (f.period, f.isotropy_order, f.component_id, f.k)
+
+
 def reference_families(p, max_period):
-    """enumerate_families rebuilt per (stratum, k, ell) from the chart engine,
-    keeping k when the chart engine gives its element the stratum's own
-    dimension (on these coherent inputs an element that fixes more lies in
-    a bigger stratum)."""
+    """The public values of enumerate_families rebuilt per (stratum, k, ell)
+    from the chart engine, keeping k when the chart engine gives its element
+    the stratum's own dimension (on these coherent inputs an element that
+    fixes more lies in a bigger stratum)."""
     z2 = (p.n - 1) % 2
     principal = p.principal_stratum
     families = []
     for ell in range(1, floor(max_period) + 1):
         idx = index_of_family_chart(p.charts[0], 0, ell, p.r, p.r, p.n)
-        families.append(OrbitFamily(1, 0, ell, principal.component_id, Fraction(ell),
-                                    idx.stratum_dim, idx.rs, idx.lcz, z2, idx.lsft))
+        families.append(FamilyValues(1, 0, ell, principal.component_id, Fraction(ell),
+                                     idx.stratum_dim, idx.rs, idx.lcz, z2, idx.lsft))
     for stratum in p.strata:
         d = stratum.isotropy_order
         if d == 1:
@@ -102,11 +133,11 @@ def reference_families(p, max_period):
             ell = 0
             while ell + Fraction(k, d) <= max_period:
                 idx = index_of_family_chart(chart, k * chart.m // d, ell, p.r, p.r, p.n)
-                families.append(OrbitFamily(d, k, ell, stratum.component_id,
-                                            ell + Fraction(k, d), idx.stratum_dim,
-                                            idx.rs, idx.lcz, z2, idx.lsft))
+                families.append(FamilyValues(d, k, ell, stratum.component_id,
+                                             ell + Fraction(k, d), idx.stratum_dim,
+                                             idx.rs, idx.lcz, z2, idx.lsft))
                 ell += 1
-    families.sort(key=OrbitFamily.sort_key)
+    families.sort(key=sort_key)
     return families
 
 
@@ -137,7 +168,7 @@ def test_weighted_actions_match_references(a):
     w = WeightedAction(tuple(a))
     p = from_weighted_action(w)
     families = enumerate_families(tower_table(p), MAX_PERIOD)
-    assert families == reference_families(p, MAX_PERIOD)
+    assert [public_values(f) for f in families] == reference_families(p, MAX_PERIOD)
     for f in families:
         T = f.period
         rs = sum(rs_index_factor(x, T) for x in w.a)
@@ -160,7 +191,8 @@ def test_point_cones_match_references(p, max_period):
     assert [column.ks for column in table.strata[1:]] == [
         list(range(1, s.isotropy_order)) for s in p.strata if s.isotropy_order > 1
     ]
-    assert enumerate_families(table, max_period) == reference_families(p, max_period)
+    families = enumerate_families(table, max_period)
+    assert [public_values(f) for f in families] == reference_families(p, max_period)
     assert_scans_match_references(p)
 
 
@@ -312,3 +344,39 @@ def test_cross_check_fails_on_any_changed_table_entry(a):
     assert engines_agree(table, w, MAX_PERIOD)
     for changed, max_period in _changed_tables(table):
         assert not engines_agree(changed, w, max_period)
+
+
+@SETTINGS
+@given(st.integers(), st.integers(min_value=1))
+@example(0, 7)
+@example(-12, 18)
+@example(3 * 2**70, 2**66)
+@example(-(2**64) - 1, 2**64 + 1)
+def test_format_ratio_matches_the_reduced_fraction(num, den):
+    f = Fraction(num, den)
+    assert format_ratio(num, den) == format_rational(f) == "%d/%d" % (f.numerator, f.denominator)
+
+
+def assert_verify_holds_the_identity(directory, payload, n):
+    path = directory / "input.json"
+    path.write_text(json.dumps(payload))
+    out, err = io.StringIO(), io.StringIO()
+    assert cli.main(["verify", str(path)], out=out, err=err) == 0, err.getvalue()
+    report = json.loads(out.getvalue())
+    md, lsft, sh_min = (Fraction(report[key]) for key in ("md", "inf_lsft", "sh_min_degree"))
+    assert 2 * md == lsft == sh_min + n - 3
+    assert report["thm13_holds"] and report["engines_agree"]
+
+
+@SETTINGS
+@given(a=weight_vectors)
+def test_verify_holds_the_identity_on_weighted_actions(tmp_path_factory, a):
+    payload = {"format": "fanocone/1", "kind": "weighted_action", "weights": a}
+    assert_verify_holds_the_identity(tmp_path_factory.mktemp("weighted"), payload, len(a))
+
+
+@SETTINGS
+@given(p=point_cones())
+def test_verify_holds_the_identity_on_point_cones(tmp_path_factory, p):
+    assert_verify_holds_the_identity(
+        tmp_path_factory.mktemp("point-cone"), presentation_to_dict(p), p.n)

@@ -283,9 +283,12 @@ def cmd_report(args, out):
     lines.append("")
     lines.append("E1 page entries (degree <= %s):" % format_rational(max_degree))
     lines.append("  %-6s %-10s %-4s %-6s %-4s" % ("p", "degree", "z2", "rank", "j"))
-    for row in _e1_table(page):
-        lines.append("  %-6d %-10s %-4d %-6d %-4d" % (
-            row["p"], row["degree"], row["z2"], row["rank"], row["homology_degree"]))
+    for key in page.keys_sorted():
+        p_filtration, degree, z2 = key
+        degree = format_rational(degree)
+        for entry in page.entries[key]:
+            lines.append("  %-6d %-10s %-4d %-6d %-4d" % (
+                p_filtration, degree, z2, entry.rank, entry.homology_degree))
 
     profile = degenerate_ranks(page) if page.entries else None
     lines.append("")

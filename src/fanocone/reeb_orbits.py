@@ -25,7 +25,10 @@ chart: by the number of tail directions its element fixes (Kwon-van
 Koert: the families of period k/d are fixed loci).  enumerate_families
 reads the table up to a period, the E1 page up to a degree, inf_lsft
 takes the minimum of each tower's first loop, and engines_agree compares
-it with the diagonal-path engine one weight column at a time.
+it with the diagonal-path engine one weight column at a time.  The engine
+runs once per stratum, on the first loop of each tower; every further
+loop adds its own shift 2*sum(a) to rs, which must equal the table's:
+2*sum(a)*D == shift, checked in integers.
 """
 
 from bisect import bisect_right
@@ -254,6 +257,10 @@ def _partial_multiples(p, stratum, chart):
             # The smallest k with gcd(k, d) = c is c itself, and c increases.
             if mismatch is None:
                 mismatch = (c, fixed)
+    if len(good) == len(proper):
+        # Every gcd(k, d) is good, as when the stratum's chart fixes no tail
+        # direction at any element: no gcd to take per k.
+        return list(range(1, d)), mismatch
     return [k for k in range(1, d) if gcd(k, d) in good], mismatch
 
 
@@ -348,38 +355,30 @@ def enumerate_families(table, max_period):
 _ENGINE_CHUNK = 1024
 
 
-def _diagonal_path_columns(w, d, ell, ks):
-    """The sums over the weights a of w of floor(a*t/d) and of ceil(a*t/d)
-    with t = ell*d + k, for each k in ks, one weight column at a time.
-
-    The orbit (d, k, ell) runs for time t/d.  The rotation factor of a
-    coordinate (index_of_family_weighted) is 2*whole, plus 1 when the
-    coordinate does not close up, which is floor + ceil; so rs = floor +
-    ceil, and the number of closed coordinates is len(w.a) - (ceil - floor).
-    """
-    turns = [ell * d + k for k in ks]
-    up = d - 1
-    low = [0] * len(turns)
-    high = [0] * len(turns)
-    for a in w.a:
-        low = [x + a * t // d for x, t in zip(low, turns)]
-        high = [x + (a * t + up) // d for x, t in zip(high, turns)]
-    return low, high
-
-
 def engines_agree(table, w, max_period):
     """Whether the diagonal-path engine of the weighted action w reproduces
     the tower numerators of every family with period <= max_period.
 
-    For each stratum and loop count ell the engine runs over the column of
-    k with ell + k/d <= max_period, from a*(ell*d + k) for this very ell, so
-    the table's loop shift is checked, never reused.  The comparison is in
-    integers over the families enumerate_families(table, max_period) lists:
-    rs*D == rs0 + ell*shift for every k, with rs0 = lcz0 + complex_dim*D.
-    The engine's lcz is rs - (closed - 1), so with rs equal,
+    The engine runs once per stratum, over the column of k whose first loop
+    ell = first_ell has ell + k/d <= max_period, one weight column at a
+    time.  A coordinate of speed a rotates a*t/d turns with t = ell*d + k;
+    its rotation factor (index_of_family_weighted) is 2*whole, plus 1 when
+    it does not close up, which is floor + ceil of a*t/d.  So rs = sum of
+    floor + ceil, and the number of closed coordinates is len(w.a) less
+    (ceil - floor) summed.  The comparison is in integers:
+    rs*D == rs0 + ell*shift for every k, with rs0 = lcz0 + complex_dim*D;
+    the engine's lcz is rs - (closed - 1), so with rs equal,
     lcz*D == lcz0 + ell*shift means closed == complex_dim + 1 for every k;
     and lsft is lcz + len(w.a) - 3 against lcz0 + (n - 3)*D, equal with
     lcz exactly when len(w.a) == n.
+
+    Every further loop adds a to floor and ceil alike, since
+    floor(a*(ell*d + k)/d) = a*ell + floor(a*k/d) exactly.  So the closed
+    count does not depend on ell, and loop ell agrees with the table exactly
+    when the first loop does and the engine's own loop shift 2*sum(a),
+    over D, is the table's: 2*sum(w.a)*D == shift.  That is checked in
+    integers whenever a loop after the first is within max_period; the
+    table's shift is checked, never reused.
     """
     max_period = Fraction(max_period)
     top, bottom = max_period.numerator, max_period.denominator
@@ -387,27 +386,41 @@ def engines_agree(table, w, max_period):
     size = len(w.a)
     if size != n:
         return False
+    loop_shift = 2 * sum(w.a)
     for column in table.strata:
         d = column.stratum.isotropy_order
         column.check_dimension(top * d // bottom)
         D = column.D
         dim = column.stratum.complex_dim
-        for ell in range(column.first_ell, top // bottom + 1):
-            count = bisect_right(column.ks, (top * d - ell * d * bottom) // bottom)
-            if count == 0:
-                break
-            # rs*D - lsft0 == rs0 + ell*shift - lsft0 for every k.
-            offset = (dim + 3 - n) * D + ell * column.shift
-            for start in range(0, count, _ENGINE_CHUNK):
-                stop = min(start + _ENGINE_CHUNK, count)
-                low, high = _diagonal_path_columns(w, d, ell, column.ks[start:stop])
-                lsft0 = column.lsft0[start:stop]
-                if (
-                    [y - x for x, y in zip(low, high)].count(size - dim - 1) != stop - start
-                    or [(x + y) * D - v for x, y, v in zip(low, high, lsft0)].count(offset)
-                    != stop - start
-                ):
-                    return False
+        first = column.first_ell
+        # The k with first + k/d <= max_period.
+        count = bisect_right(column.ks, (top - first * bottom) * d // bottom)
+        if count == 0:
+            continue
+        # rs*D - lsft0 == rs0 + first*shift - lsft0 for every k.
+        offset = (dim + 3 - n) * D + first * column.shift
+        up = d - 1
+        for start in range(0, count, _ENGINE_CHUNK):
+            stop = min(start + _ENGINE_CHUNK, count)
+            turns = [first * d + k for k in column.ks[start:stop]]
+            low = [0] * len(turns)
+            high = [0] * len(turns)
+            for a in w.a:
+                low = [x + a * t // d for x, t in zip(low, turns)]
+                high = [x + (a * t + up) // d for x, t in zip(high, turns)]
+            lsft0 = column.lsft0[start:stop]
+            if (
+                [y - x for x, y in zip(low, high)].count(size - dim - 1) != stop - start
+                or [(x + y) * D - v for x, y, v in zip(low, high, lsft0)].count(offset)
+                != stop - start
+            ):
+                return False
+        # Loop first + 1 of the smallest k is within max_period.
+        if (
+            column.ks[0] <= (top - (first + 1) * bottom) * d // bottom
+            and loop_shift * D != column.shift
+        ):
+            return False
     return True
 
 

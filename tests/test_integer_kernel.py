@@ -9,7 +9,12 @@ period bound derived a priori and the Fraction product N * period, and
 engines_agree, which compares the diagonal-path engine with the tower
 numerators in integers, against the Fraction comparison over
 enumerate_families; changing any one entry of the table must make that
-cross-check fail.  The tower table decides admissibility from each
+cross-check fail.  engines_agree runs the engine once per stratum and
+checks its own loop shift; reference_engines_agree_per_loop, which reruns
+it for every loop count, must give the same answer or raise alike on
+every changed table and period bound.  Moving one chart tail weight of a
+weighted action must make `verify` exit 2, 1 or 0 as the Fraction
+references predict.  The tower table decides admissibility from each
 stratum's chart; on weighted actions, where the strata are nested, it
 must agree with the global rule admissible_partial_multiples.
 from_weighted_action and admissible_partial_multiples, which work over
@@ -23,6 +28,7 @@ the reduced Fraction.
 
 import io
 import json
+from bisect import bisect_right
 from dataclasses import replace
 from fractions import Fraction
 from math import floor, gcd
@@ -30,7 +36,8 @@ from typing import NamedTuple
 
 import pytest
 
-from fanocone import cli
+from fanocone import cli, cone_model, reeb_orbits
+from fanocone.cli import EXIT_IDENTITY, EXIT_INPUT, EXIT_OK
 from fanocone.cone_model import WeightedAction, from_weighted_action, presentation_to_dict
 from fanocone.discrepancy import (
     InvalidPresentation,
@@ -54,7 +61,7 @@ from fanocone.sympath_index import rs_index_factor
 from corpus import orbifold_point_cone
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 MAX_PERIOD = 3
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -63,6 +70,12 @@ degree_bounds = st.fractions(min_value=-4, max_value=40, max_denominator=6)
 weight_vectors = (
     st.integers(2, 4)
     .flatmap(lambda n: st.lists(st.integers(1, 500), min_size=n, max_size=n))
+    .filter(lambda a: gcd(*a) == 1)
+)
+# For properties that run a check many times per example.
+small_weight_vectors = (
+    st.integers(2, 4)
+    .flatmap(lambda n: st.lists(st.integers(1, 24), min_size=n, max_size=n))
     .filter(lambda a: gcd(*a) == 1)
 )
 
@@ -344,6 +357,150 @@ def test_cross_check_fails_on_any_changed_table_entry(a):
     assert engines_agree(table, w, MAX_PERIOD)
     for changed, max_period in _changed_tables(table):
         assert not engines_agree(changed, w, max_period)
+
+
+def _diagonal_path_columns(w, d, ell, ks):
+    """The sums over the weights a of w of floor(a*t/d) and of ceil(a*t/d)
+    with t = ell*d + k, for each k in ks, one weight column at a time."""
+    turns = [ell * d + k for k in ks]
+    up = d - 1
+    low = [0] * len(turns)
+    high = [0] * len(turns)
+    for a in w.a:
+        low = [x + a * t // d for x, t in zip(low, turns)]
+        high = [x + (a * t + up) // d for x, t in zip(high, turns)]
+    return low, high
+
+
+def reference_engines_agree_per_loop(table, w, max_period):
+    """engines_agree running the diagonal-path engine afresh for every loop
+    count ell, from a*(ell*d + k), over the k with ell + k/d <= max_period:
+    it reads the table's shift only as ell*shift, never as the engine's own
+    loop shift."""
+    max_period = Fraction(max_period)
+    top, bottom = max_period.numerator, max_period.denominator
+    n = table.presentation.n
+    size = len(w.a)
+    if size != n:
+        return False
+    for column in table.strata:
+        d = column.stratum.isotropy_order
+        column.check_dimension(top * d // bottom)
+        D = column.D
+        dim = column.stratum.complex_dim
+        for ell in range(column.first_ell, top // bottom + 1):
+            count = bisect_right(column.ks, (top * d - ell * d * bottom) // bottom)
+            if count == 0:
+                break
+            offset = (dim + 3 - n) * D + ell * column.shift
+            low, high = _diagonal_path_columns(w, d, ell, column.ks[:count])
+            if any(y - x != size - dim - 1 for x, y in zip(low, high)) or any(
+                (x + y) * D - v != offset for x, y, v in zip(low, high, column.lsft0)
+            ):
+                return False
+    return True
+
+
+def _outcome(check, table, w, max_period):
+    try:
+        return check(table, w, max_period)
+    except InvalidPresentation as exc:
+        return "InvalidPresentation: %s" % exc
+
+
+def move_tail_weight(p, move):
+    """p with tail weight i of the chart labelled label set to new, for
+    move = (label, i, new); p itself when move is None."""
+    if move is None:
+        return p
+    label, i, new = move
+    return replace(p, charts=tuple(
+        replace(c, weights=c.weights[:i] + (new,) + c.weights[i + 1:]) if c.label == label
+        else c for c in p.charts))
+
+
+@st.composite
+def moved_tail_weights(draw, vectors):
+    """(a, move): a weight vector and a move of one tail weight of one chart
+    of order m > 1 of its presentation to another residue mod m; fiber
+    weights stay units."""
+    a = draw(vectors)
+    p = from_weighted_action(WeightedAction(tuple(a)))
+    movable = [c for c in p.charts if c.m > 1]
+    assume(movable)
+    chart = draw(st.sampled_from(movable))
+    i = draw(st.integers(1, p.n - 1))
+    new = draw(st.integers(0, chart.m - 1).filter(lambda x: x != chart.weights[i]))
+    return a, (chart.label, i, new)
+
+
+# Bounds where only the first loop of each tower is in range (below 1 for
+# the non-principal strata, below 2 for the principal one) and beyond.
+PERIOD_BOUNDS = [Fraction(x, 2) for x in range(1, 9)] + [Fraction(1, 3)]
+
+
+@SETTINGS
+@given(moved_tail_weights(small_weight_vectors), st.booleans(), st.sampled_from([3, 1024]))
+def test_one_pass_cross_check_matches_the_per_loop_reference(case, perturb, chunk):
+    a, move = case
+    w = WeightedAction(tuple(a))
+    # A moved tail weight can leave an element with the wrong dimension,
+    # which both must raise at the same period bounds.
+    p = move_tail_weight(from_weighted_action(w), move if perturb else None)
+    try:
+        table = tower_table(p)
+    except InvalidPresentation:
+        return
+    variants = [(table, MAX_PERIOD)] + list(_changed_tables(table))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reeb_orbits, "_ENGINE_CHUNK", chunk)
+        for variant, own_bound in variants:
+            for max_period in PERIOD_BOUNDS + [own_bound]:
+                assert _outcome(engines_agree, variant, w, max_period) == _outcome(
+                    reference_engines_agree_per_loop, variant, w, max_period)
+
+
+def reference_md(p):
+    """The minimal discrepancy by the per-element Fraction scan of every chart."""
+    values = [value for chart in p.charts for _, value in discrepancy_oracle(chart, p.r)]
+    return min([p.r] + values) - 1
+
+
+@SETTINGS
+@given(case=moved_tail_weights(small_weight_vectors))
+# (1, 2, 2): moving a tail weight of the Z_2 chart no stratum reads changes
+# md and nothing the engines compare (exit 1), or neither (exit 0).
+# (2, 3, 3): moving one of the Z_3 stratum's own chart breaks both legs.
+@example(case=([1, 2, 2], ("axis3", 1, 0)))
+@example(case=([1, 2, 2], ("axis3", 2, 1)))
+@example(case=([2, 3, 3], ("axis2", 1, 2)))
+def test_moved_chart_weight_exits_as_the_references_predict(tmp_path_factory, case):
+    a, move = case
+    w = WeightedAction(tuple(a))
+    moved = move_tail_weight(from_weighted_action(w), move)
+    try:
+        engines_ok = reference_engines_agree(moved, w)
+    except InvalidPresentation:
+        expected = EXIT_INPUT
+    else:
+        # The first loop of every tower has period <= 1, and loops climb.
+        lowest = min(f.lsft for f in reference_families(moved, 1))
+        identity_ok = 2 * reference_md(moved) == lowest
+        expected = EXIT_OK if engines_ok and identity_ok else EXIT_IDENTITY
+    path = tmp_path_factory.mktemp("moved") / "input.json"
+    path.write_text(json.dumps({"format": "fanocone/1", "kind": "weighted_action",
+                                "weights": a}))
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        # The CLI builds InputData(moved, w): the chart engine reads the moved
+        # chart, the diagonal-path engine the original weights.
+        patch.setattr(cone_model, "from_weighted_action", lambda action: moved)
+        code = cli.main(["verify", str(path)], out=out, err=err)
+    assert code == expected, (out.getvalue(), err.getvalue())
+    if code != EXIT_INPUT:
+        report = json.loads(out.getvalue())
+        assert report["engines_agree"] is engines_ok
+        assert report["thm13_holds"] is identity_ok
 
 
 @SETTINGS

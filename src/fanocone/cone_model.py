@@ -135,6 +135,7 @@ def validate_presentation(p):
 
     labels = [c.label for c in p.charts]
     orders = {s.isotropy_order for s in p.strata}
+    named = {s.chart_ref for s in p.strata}
     for label in sorted(set(labels)):
         if labels.count(label) > 1:
             violations.append("duplicate chart label %r" % label)
@@ -142,6 +143,7 @@ def validate_presentation(p):
         if c.m < 1:
             violations.append("chart %r: m must be positive" % c.label)
             continue
+        found = len(violations)
         if c.m > MAX_CHART_ORDER:
             violations.append(
                 "chart %r: m=%d exceeds the chart order limit MAX_CHART_ORDER = %d"
@@ -158,6 +160,21 @@ def validate_presentation(p):
         if c.m > 1 and c.m not in orders:
             # The chart's centre has isotropy Z_m, so some stratum must carry it.
             violations.append("chart %r: no stratum has isotropy order m=%d" % (c.label, c.m))
+        if c.m > 1 and c.weights and c.label not in named and len(violations) == found:
+            # A chart no stratum names must be a named chart of order M
+            # divisible by m with its weights mod m (how its subgroup Z_m
+            # acts), times one unit u of Z_m; the fibre weights fix u.
+            tail = c.weights[1:]
+            inverse = pow(c.weights[0], -1, c.m)
+            if not any(
+                sorted(w % c.m for w in t.weights[1:])
+                == sorted(t.weights[0] * inverse * w % c.m for w in tail)
+                for t in p.charts
+                if t.label in named and t.m > 0 and t.m % c.m == 0 and len(t.weights) == p.n
+            ):
+                violations.append("chart %r: no stratum names it, and no named chart of "
+                                  "order divisible by m=%d matches it up to a unit of Z_m"
+                                  % (c.label, c.m))
 
     principal = [s for s in p.strata if s.isotropy_order == 1]
     if not principal:
@@ -296,7 +313,7 @@ def _int_field(obj, key, where):
 
 
 def input_from_dict(d):
-    """Parse and validate a top-level input object; raises SchemaError."""
+    """Parse a top-level input object; raises SchemaError."""
     _require_keys(
         d,
         allowed={"format", "kind", "weights", "n", "r", "strata", "charts",

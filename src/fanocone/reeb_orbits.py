@@ -22,13 +22,14 @@ command: per stratum, the partial multiples k of its towers and the
 ell = 0 lsft numerators as integer columns, with the per-loop shift.
 Whether k belongs to a stratum's tower is decided from the stratum's own
 chart: by the number of tail directions its element fixes (Kwon-van
-Koert: the families of period k/d are fixed loci).  enumerate_families
-reads the table up to a period, the E1 page up to a degree, inf_lsft
-takes the minimum of each tower's first loop, and engines_agree compares
-it with the diagonal-path engine one weight column at a time.  The engine
-runs once per stratum, on the first loop of each tower; every further
-loop adds its own shift 2*sum(a) to rs, which must equal the table's:
-2*sum(a)*D == shift, checked in integers.
+Koert: the families of period k/d are fixed loci), and a chart that
+contradicts its stratum is rejected while the table is built.
+enumerate_families reads the table up to a period, the E1 page up to a
+degree, inf_lsft takes the minimum of each tower's first loop, and
+engines_agree compares it with the diagonal-path engine one weight
+column at a time.  The engine runs once per stratum, on the first loop
+of each tower; every further loop adds its own shift 2*sum(a) to rs,
+which must equal the table's: 2*sum(a)*D == shift, checked in integers.
 """
 
 from bisect import bisect_right
@@ -184,9 +185,7 @@ class StratumTowers(NamedTuple):
     plus the stratum's complex_dim, with D = m*den(r) for the stratum's
     chart and shift = 2*num(r)*m, the numerator of 2R.  The principal
     stratum has the one tower k = 0 over D = den(r), starting at ell = 1;
-    every other tower starts at ell = 0.  mismatch is None, or the
-    (k, dimension) of the smallest element whose chart dimension
-    contradicts the stratum, which a reader raises once it reaches that k.
+    every other tower starts at ell = 0.
     """
 
     stratum: object
@@ -194,28 +193,10 @@ class StratumTowers(NamedTuple):
     shift: int
     ks: list
     lsft0: list
-    mismatch: object
 
     @property
     def first_ell(self):
         return 1 if self.stratum.isotropy_order == 1 else 0
-
-    def check_dimension(self, max_k=None):
-        """Raise InvalidPresentation if the mismatched element, if any, has
-        k <= max_k (any k when max_k is None)."""
-        if self.mismatch is None:
-            return
-        k, dim = self.mismatch
-        if max_k is None or k <= max_k:
-            s = self.stratum
-            raise InvalidPresentation(
-                [
-                    "stratum (|G|=%d, %r): chart %r gives dimension %d for "
-                    "element k=%d, stratum records %d"
-                    % (s.isotropy_order, s.component_id, s.chart_ref, dim, k,
-                       s.complex_dim)
-                ]
-            )
 
 
 class TowerTable(NamedTuple):
@@ -227,7 +208,7 @@ class TowerTable(NamedTuple):
 
 
 def _partial_multiples(p, stratum, chart):
-    """The stratum's admissible partial multiples and its mismatch.
+    """The stratum's admissible partial multiples.
 
     Element k of Z_d (d = |G|) is the chart element k*m/d, which fixes the
     tail coordinate of weight w when m // gcd(m, w) divides k*m/d.  The
@@ -235,8 +216,9 @@ def _partial_multiples(p, stratum, chart):
     directions puts the element in this stratum's tower.  Fixing more puts
     it in the closure of a bigger stratum, which carries the family: one
     whose order is a proper divisor of d and a multiple of the element's
-    order d // c, with at least that dimension; if there is none, or the
-    element fixes fewer directions, the element is a mismatch.
+    order d // c, with at least that dimension.  If there is none, or the
+    element fixes fewer directions, the presentation is incoherent, and
+    InvalidPresentation names the smallest such k, which is c itself.
     """
     d = stratum.isotropy_order
     m = chart.m
@@ -244,7 +226,6 @@ def _partial_multiples(p, stratum, chart):
     tail_orders = [m // gcd(m, w) for w in chart.weights[1:]]
     proper = divisors(d)[:-1]
     good = set()
-    mismatch = None
     for c in proper:
         fixed = sum(step * c % o == 0 for o in tail_orders)
         if fixed == stratum.complex_dim:
@@ -254,22 +235,26 @@ def _partial_multiples(p, stratum, chart):
             and s.isotropy_order % (d // c) == 0 and s.isotropy_order < d
             for s in p.strata
         ):
-            # The smallest k with gcd(k, d) = c is c itself, and c increases.
-            if mismatch is None:
-                mismatch = (c, fixed)
+            raise InvalidPresentation([
+                "stratum (|G|=%d, %r): chart %r gives dimension %d for element k=%d, "
+                "stratum records %d"
+                % (d, stratum.component_id, stratum.chart_ref, fixed, c, stratum.complex_dim)
+            ])
     if len(good) == len(proper):
         # Every gcd(k, d) is good, as when the stratum's chart fixes no tail
         # direction at any element: no gcd to take per k.
-        return list(range(1, d)), mismatch
-    return [k for k in range(1, d) if gcd(k, d) in good], mismatch
+        return list(range(1, d))
+    return [k for k in range(1, d) if gcd(k, d) in good]
 
 
 def tower_table(p):
     """The validated integer tower table of p, built once per command and
     read by enumerate_families, assemble_e1, inf_lsft and engines_agree.
 
-    The ell = 0 numerators come from the per-column scan of the stratum's
-    chart elements k*m/d (discrepancy._scaled_values): lsft0 = 2*value - 2*D.
+    The one full check of a presentation: validate_presentation, then each
+    stratum's chart dimensions in stratum order (_partial_multiples).  The
+    ell = 0 numerators come from the per-column scan of the stratum's chart
+    elements k*m/d (discrepancy._scaled_values): lsft0 = 2*value - 2*D.
     """
     violations = validate_presentation(p)
     if violations:
@@ -277,7 +262,7 @@ def tower_table(p):
     r = p.r
     den = r.denominator
     columns = [
-        StratumTowers(p.principal_stratum, den, 2 * r.numerator, [0], [-2 * den], None)
+        StratumTowers(p.principal_stratum, den, 2 * r.numerator, [0], [-2 * den])
     ]
     for stratum in p.strata:
         d = stratum.isotropy_order
@@ -285,12 +270,12 @@ def tower_table(p):
             continue
         chart = p.chart(stratum.chart_ref)
         m = chart.m
-        ks, mismatch = _partial_multiples(p, stratum, chart)
+        ks = _partial_multiples(p, stratum, chart)
         step = m // d
         elements = [k * step for k in ks]
         D = m * den
         lsft0 = [2 * v - 2 * D for v in _scaled_values(chart, r, elements)]
-        columns.append(StratumTowers(stratum, D, 2 * r.numerator * m, ks, lsft0, mismatch))
+        columns.append(StratumTowers(stratum, D, 2 * r.numerator * m, ks, lsft0))
     return TowerTable(p, tuple(columns))
 
 
@@ -330,8 +315,7 @@ def _tower_families(table, rows):
 
 def enumerate_families(table, max_period):
     """All orbit families with 0 < period <= max_period, indices included,
-    read off the tower table.  A stratum's mismatch is raised only when its
-    k has a family within max_period."""
+    read off the tower table."""
     max_period = Fraction(max_period)
     if max_period <= 0:
         raise ValueError("max_period must be positive")
@@ -339,7 +323,6 @@ def enumerate_families(table, max_period):
     rows = []
     for column in table.strata:
         d = column.stratum.isotropy_order
-        column.check_dimension(top * d // bottom)
         for k, lsft0 in zip(column.ks, column.lsft0):
             # One past the last loop with ell + k/d <= max_period; k
             # increases, so stop does not.
@@ -389,7 +372,6 @@ def engines_agree(table, w, max_period):
     loop_shift = 2 * sum(w.a)
     for column in table.strata:
         d = column.stratum.isotropy_order
-        column.check_dimension(top * d // bottom)
         D = column.D
         dim = column.stratum.complex_dim
         first = column.first_ell
@@ -429,12 +411,10 @@ def inf_lsft(table):
 
     With R > 0 (validated) the loops of a tower only climb, so the infimum
     is a finite minimum over the first loop of each tower,
-    (lsft0 + first_ell*shift)/D, compared by cross-multiplication.  Every
-    stratum's dimension is checked.
+    (lsft0 + first_ell*shift)/D, compared by cross-multiplication.
     """
     best, best_D = None, 1
     for column in table.strata:
-        column.check_dimension()
         if not column.lsft0:
             continue
         value = min(column.lsft0) + column.first_ell * column.shift

@@ -66,9 +66,8 @@ def assemble_e1(table, max_degree):
     has degree lcz + j >= lcz, and loop ell of a tower has lcz equal to
     (lcz0 + ell*shift)/D with shift > 0, so the loops that can carry an
     entry are exactly those with lcz0 + ell*shift <= max_degree*D, counted
-    in integers.  Every stratum's dimension is checked, whether or not one
-    of its loops is under the bound.
-    The filtration index N * period is the integer ell*N + k*(N // |G|).
+    in integers.  The filtration index N * period is the integer
+    ell*N + k*(N // |G|).
     """
     max_degree = Fraction(max_degree)
     top, bottom = max_degree.numerator, max_degree.denominator
@@ -76,7 +75,6 @@ def assemble_e1(table, max_degree):
     n = p.n
     rows = []
     for column in table.strata:
-        column.check_dimension()
         D, shift, first = column.D, column.shift, column.first_ell
         # lcz0 = lsft0 - (n-3)*D; the first loop is under the bound when
         # lcz0 + first*shift <= max_degree*D.

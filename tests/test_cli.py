@@ -14,7 +14,7 @@ from math import gcd
 import pytest
 
 import fanocone
-from fanocone import cli, cone_model, reeb_orbits, ss_engine
+from fanocone import cli, cone_model, discrepancy, reeb_orbits, ss_engine
 from fanocone.cli import build_verification_report, main
 from fanocone.cone_model import (
     MAX_CHART_ORDER,
@@ -319,7 +319,7 @@ def _dimension_mismatch_above_the_degree_bound():
     """Point cone with charts (7; 1,1) and (2; 1,1), r = 3, and the same cone
     whose order-2 stratum records dimension 1 where its chart gives 0.  That
     stratum's one tower starts at lcz 3 and period 1/2, above the degree
-    bound 8/7 that verify builds its page up to."""
+    bound 1/7 that verify builds its page up to."""
     good = orbifold_point_cone(2, 7, (1,), 3, extra=[(2, (1,))])
     strata = tuple(replace(s, complex_dim=1, betti=(1, 0, 1)) if s.isotropy_order == 2 else s
                    for s in good.strata)
@@ -328,7 +328,7 @@ def _dimension_mismatch_above_the_degree_bound():
 
 def test_dimension_check_covers_towers_above_the_degree_bound(tmp_path):
     good, bad = _dimension_mismatch_above_the_degree_bound()
-    assert inf_lsft(tower_table(good)) + 3 - good.n + 1 == Fraction(8, 7)
+    assert inf_lsft(tower_table(good)) + 3 - good.n == Fraction(1, 7)
     assert min(f.lcz for f in enumerate_families(tower_table(good), 3)
                if f.isotropy_order == 2) == 3
     assert run_cli(["verify", presentation_file(tmp_path, good)])[0] == 0
@@ -345,13 +345,15 @@ def test_e1_checks_towers_above_its_degree_bound(tmp_path):
     assert "gives dimension 0 for element k=1, stratum records 1" in err
 
 
-def test_orbits_below_the_mismatched_tower_does_not_raise(tmp_path):
+def test_orbits_rejects_a_mismatched_tower_below_or_above_its_period(tmp_path):
+    # The tower table checks every stratum when it is built, so a period
+    # bound below the mismatched tower's first family does not hide it.
     _, bad = _dimension_mismatch_above_the_degree_bound()
     path = presentation_file(tmp_path, bad)
-    code, out, err = run_cli(["orbits", path, "--max-period", "1/4"])
-    assert code == 0 and err == ""
-    assert [(f["isotropy_order"], f["k"]) for f in json.loads(out)] == [(7, 1)]
-    assert run_cli(["orbits", path, "--max-period", "1/2"])[0] == 2
+    for max_period in ("1/4", "1/2"):
+        code, out, err = run_cli(["orbits", path, "--max-period", max_period])
+        assert code == 2 and out == ""
+        assert "gives dimension 0 for element k=1, stratum records 1" in err
 
 
 def test_output_independent_of_hash_seed(tmp_path):
@@ -432,6 +434,45 @@ def test_verify_and_report_build_the_tower_table_once(tmp_path, monkeypatch):
         assert len(built) == 1, argv
 
 
+def test_each_command_validates_once_per_layer_that_needs_it(tmp_path, monkeypatch):
+    # tower_table and minimal_discrepancy each validate; nothing else does.
+    calls = []
+    original = cone_model.validate_presentation
+
+    def counting(p):
+        calls.append(p)
+        return original(p)
+
+    for module in (cli, reeb_orbits, discrepancy):
+        if hasattr(module, "validate_presentation"):
+            monkeypatch.setattr(module, "validate_presentation", counting)
+    path = weighted_file(tmp_path, (5, 3, 2))
+    for argv, expected in ((["verify", path], 2), (["report", path, "--max-degree", "12"], 2),
+                           (["md", path], 1), (["orbits", path, "--max-period", "2"], 1),
+                           (["e1", path, "--max-degree", "9"], 1), (["shmin", path], 1)):
+        calls.clear()
+        assert run_cli(argv)[0] == 0
+        assert len(calls) == expected, argv
+
+
+def test_verify_builds_its_page_to_the_floor_degree(tmp_path, monkeypatch):
+    # The minimal tower's H_0 entry sits at inf lSFT + 3 - n, so the page
+    # needs no degree above it.
+    bounds = []
+    original = ss_engine.assemble_e1
+
+    def spying(table, max_degree):
+        bounds.append(max_degree)
+        return original(table, max_degree)
+
+    monkeypatch.setattr(cli, "assemble_e1", spying)
+    for weights in ((2, 1), (5, 3, 2), (2, 3, 6, 7)):
+        bounds.clear()
+        code, out, err = run_cli(["verify", weighted_file(tmp_path, weights)])
+        assert code == 0, err
+        assert bounds == [Fraction(json.loads(out)["inf_lsft"]) + 3 - len(weights)]
+
+
 def test_chart_order_limit(tmp_path, monkeypatch):
     assert MAX_CHART_ORDER == 10**6
     accepted = input_from_dict({"format": "fanocone/1", "kind": "weighted_action",
@@ -472,7 +513,25 @@ def test_element_of_a_bigger_stratum_needs_that_stratum_to_be_big_enough(tmp_pat
     assert code == 2 and out == ""
     assert "stratum (|G|=4, 'a'): chart 'A' gives dimension 1 for element k=2" in err
     curve = replace(p, strata=strata[:2] + (Stratum(2, "b", 1, (1, 0, 1), "A"),))
+    # B, now named by no stratum, is an isolated Z_2 point, which a point of
+    # the Z_2 curve cannot be: A reduced mod 2 is (2; 1,0,1), not B.
+    with pytest.raises(InvalidPresentation, match="chart 'B': no stratum names it"):
+        tower_table(curve)
+    coherent = replace(curve, charts=(charts[0], ChartData(m=2, weights=(1, 0, 1), label="B")))
+    assert run_cli(["verify", presentation_file(tmp_path, coherent)])[0] == 0
+    curve = replace(curve, charts=charts[:1])
     assert [list(c.ks) for c in tower_table(curve).strata] == [[0], [1, 3], [1]]
+
+
+def test_an_unnamed_chart_may_reduce_a_named_chart_of_higher_order(tmp_path):
+    # The Z_2 stratum of (4, 2, 1) names axis1 (4; 1,2,3); axis2 (2; 1,0,1),
+    # which no stratum names, is that chart reduced mod 2.
+    p = from_weighted_action(WeightedAction((4, 2, 1)))
+    assert [s.chart_ref for s in p.strata if s.isotropy_order == 2] == ["axis1"]
+    assert p.chart("axis2").weights == (1, 0, 1)
+    code, out, err = run_cli(["verify", presentation_file(tmp_path, p)])
+    assert code == 0 and err == ""
+    assert json.loads(out)["thm13_holds"] is True
 
 
 def test_verify_reads_inf_lsft_off_the_tower_table(tmp_path, monkeypatch):

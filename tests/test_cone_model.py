@@ -101,6 +101,29 @@ def test_validate_more_violations():
     assert any("complex_dim n-1" in v for v in report)
 
 
+def test_validate_twin_rule_skips_charts_without_weights():
+    # The twin rule reads the fibre weight of the unnamed chart and of each
+    # named chart: a chart with no weights is reported, not an IndexError.
+    p = ConePresentation(
+        n=0,
+        r=Fraction(1),
+        strata=(Stratum(1, "0", 0, (1,), "a"), Stratum(2, "x", 0, (1,), "a")),
+        charts=(ChartData(m=1, weights=(), label="a"), ChartData(m=2, weights=(), label="b")),
+    )
+    report = validate_presentation(p)
+    assert "n must be at least 2, got 0" in report
+    assert not any("no stratum names it" in v for v in report)
+    p = ConePresentation(
+        n=2,
+        r=Fraction(3),
+        strata=(Stratum(1, "0", 1, (1, 0, 1), "a"), Stratum(2, "x", 0, (1,), "b")),
+        charts=(ChartData(m=1, weights=(0, 0), label="a"), ChartData(m=2, weights=(), label="b"),
+                ChartData(m=2, weights=(1, 1), label="c")),
+    )
+    report = validate_presentation(p)
+    assert "chart 'b': expected 2 weights, got 0" in report
+
+
 def test_validate_negative_betti():
     p = ConePresentation(
         n=2,

@@ -11,17 +11,21 @@ numerators in integers, against the Fraction comparison over
 enumerate_families; changing any one entry of the table must make that
 cross-check fail.  engines_agree runs the engine once per stratum and
 checks its own loop shift; reference_engines_agree_per_loop, which reruns
-it for every loop count, must give the same answer or raise alike on
-every changed table and period bound.  Moving one chart tail weight of a
-weighted action must make `verify` exit 2, 1 or 0 as the Fraction
-references predict.  The tower table decides admissibility from each
-stratum's chart; on weighted actions, where the strata are nested, it
-must agree with the global rule admissible_partial_multiples.
+it for every loop count, must give the same answer on every changed
+table and period bound.  Moving one chart tail weight of a weighted
+action must make `verify` exit 2, 1 or 0 as the Fraction references and a
+search over every unit of Z_m for the chart's twin predict, and written
+as a presentation the moved action must exit 2 or 0, never 1.  The tower table
+decides admissibility from each stratum's chart; on weighted actions,
+where the strata are nested, it must agree with the global rule
+admissible_partial_multiples.
 from_weighted_action and admissible_partial_multiples, which work over
 divisors, are checked against the scans over every order they replaced.
 Inputs are generated: weighted actions with entries up to 500 and
 orbifold point cones with non-integral r.  On both, `verify` must hold
-the identity 2*md = inf lSFT = sh_min + n - 3 and exit 0.  format_ratio,
+the identity 2*md = inf lSFT = sh_min + n - 3 and exit 0, also with an
+unnamed copy of a point cone's chart under a unit of Z_m; moving a tail
+weight of that copy must exit 2 unless it still has a twin.  format_ratio,
 the integer rule every family value is rendered by, is checked against
 the reduced Fraction.
 """
@@ -314,7 +318,6 @@ def test_chart_local_admissibility_matches_the_global_rule(a):
     for column in table.strata[1:]:
         d = column.stratum.isotropy_order
         assert list(column.ks) == admissible_partial_multiples(p.isotropy_orders, d)
-        assert column.mismatch is None
 
 
 def _changed_tables(table):
@@ -385,7 +388,6 @@ def reference_engines_agree_per_loop(table, w, max_period):
         return False
     for column in table.strata:
         d = column.stratum.isotropy_order
-        column.check_dimension(top * d // bottom)
         D = column.D
         dim = column.stratum.complex_dim
         for ell in range(column.first_ell, top // bottom + 1):
@@ -399,13 +401,6 @@ def reference_engines_agree_per_loop(table, w, max_period):
             ):
                 return False
     return True
-
-
-def _outcome(check, table, w, max_period):
-    try:
-        return check(table, w, max_period)
-    except InvalidPresentation as exc:
-        return "InvalidPresentation: %s" % exc
 
 
 def move_tail_weight(p, move):
@@ -445,7 +440,7 @@ def test_one_pass_cross_check_matches_the_per_loop_reference(case, perturb, chun
     a, move = case
     w = WeightedAction(tuple(a))
     # A moved tail weight can leave an element with the wrong dimension,
-    # which both must raise at the same period bounds.
+    # which tower_table rejects.
     p = move_tail_weight(from_weighted_action(w), move if perturb else None)
     try:
         table = tower_table(p)
@@ -456,8 +451,8 @@ def test_one_pass_cross_check_matches_the_per_loop_reference(case, perturb, chun
         patch.setattr(reeb_orbits, "_ENGINE_CHUNK", chunk)
         for variant, own_bound in variants:
             for max_period in PERIOD_BOUNDS + [own_bound]:
-                assert _outcome(engines_agree, variant, w, max_period) == _outcome(
-                    reference_engines_agree_per_loop, variant, w, max_period)
+                assert engines_agree(variant, w, max_period) == (
+                    reference_engines_agree_per_loop(variant, w, max_period))
 
 
 def reference_md(p):
@@ -466,27 +461,54 @@ def reference_md(p):
     return min([p.r] + values) - 1
 
 
+def reference_twinless_charts(p):
+    """Labels of the charts of order m > 1 that no stratum names and that no
+    named chart of order M divisible by m matches, reduced mod m, under any
+    unit u of Z_m: every weight times u, the same fibre weight and the same
+    tail multiset."""
+    named = {s.chart_ref for s in p.strata}
+    twinless = []
+    for c in p.charts:
+        if c.m == 1 or c.label in named:
+            continue
+        images = [(u * c.weights[0] % c.m, sorted(u * w % c.m for w in c.weights[1:]))
+                  for u in range(1, c.m) if gcd(u, c.m) == 1]
+        if not any((t.weights[0] % c.m, sorted(w % c.m for w in t.weights[1:])) in images
+                   for t in p.charts if t.label in named and t.m % c.m == 0):
+            twinless.append(c.label)
+    return twinless
+
+
 @SETTINGS
 @given(case=moved_tail_weights(small_weight_vectors))
-# (1, 2, 2): moving a tail weight of the Z_2 chart no stratum reads changes
-# md and nothing the engines compare (exit 1), or neither (exit 0).
-# (2, 3, 3): moving one of the Z_3 stratum's own chart breaks both legs.
+# (1, 2, 2): the Z_2 chart axis3, which no stratum names, is a copy of
+# axis2; any move of its tail leaves it without a twin (exit 2).
+# (2, 3, 3): moving axis2, the Z_3 stratum's own chart, leaves its copy
+# axis3 without a twin (exit 2).
 @example(case=([1, 2, 2], ("axis3", 1, 0)))
 @example(case=([1, 2, 2], ("axis3", 2, 1)))
 @example(case=([2, 3, 3], ("axis2", 1, 2)))
+# (4, 2, 1): axis2 (2; 1,0,1) is axis1 (4; 1,2,3), the chart the Z_2
+# stratum names, reduced mod 2; moving its tail leaves it without a twin.
+@example(case=([4, 2, 1], ("axis2", 1, 1)))
 def test_moved_chart_weight_exits_as_the_references_predict(tmp_path_factory, case):
     a, move = case
     w = WeightedAction(tuple(a))
     moved = move_tail_weight(from_weighted_action(w), move)
-    try:
-        engines_ok = reference_engines_agree(moved, w)
-    except InvalidPresentation:
+    if reference_twinless_charts(moved):
         expected = EXIT_INPUT
     else:
-        # The first loop of every tower has period <= 1, and loops climb.
-        lowest = min(f.lsft for f in reference_families(moved, 1))
-        identity_ok = 2 * reference_md(moved) == lowest
-        expected = EXIT_OK if engines_ok and identity_ok else EXIT_IDENTITY
+        try:
+            engines_ok = reference_engines_agree(moved, w)
+        except InvalidPresentation as exc:
+            # Every chart has a twin, so only an element's dimension is wrong.
+            assert "gives dimension" in str(exc)
+            expected = EXIT_INPUT
+        else:
+            # The first loop of every tower has period <= 1, and loops climb.
+            lowest = min(f.lsft for f in reference_families(moved, 1))
+            identity_ok = 2 * reference_md(moved) == lowest
+            expected = EXIT_OK if engines_ok and identity_ok else EXIT_IDENTITY
     path = tmp_path_factory.mktemp("moved") / "input.json"
     path.write_text(json.dumps({"format": "fanocone/1", "kind": "weighted_action",
                                 "weights": a}))
@@ -501,6 +523,14 @@ def test_moved_chart_weight_exits_as_the_references_predict(tmp_path_factory, ca
         report = json.loads(out.getvalue())
         assert report["engines_agree"] is engines_ok
         assert report["thm13_holds"] is identity_ok
+    # Written as a presentation, the moved action has no diagonal-path engine
+    # to disagree with: an accepted input must hold the identity.
+    path = tmp_path_factory.mktemp("moved-presentation") / "input.json"
+    path.write_text(json.dumps(presentation_to_dict(moved)))
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.main(["verify", str(path)], out=out, err=err)
+    assert code in (EXIT_OK, EXIT_INPUT), (out.getvalue(), err.getvalue())
+    assert code == (EXIT_INPUT if expected == EXIT_INPUT else EXIT_OK), err.getvalue()
 
 
 @SETTINGS
@@ -527,6 +557,9 @@ def assert_verify_holds_the_identity(directory, payload, n):
 
 @SETTINGS
 @given(a=weight_vectors)
+# The Z_2 stratum names axis 1's chart (4; 1,2,3); axis 2's chart (2; 1,0,1),
+# which no stratum names, is its reduction mod 2.
+@example(a=[4, 2, 1])
 def test_verify_holds_the_identity_on_weighted_actions(tmp_path_factory, a):
     payload = {"format": "fanocone/1", "kind": "weighted_action", "weights": a}
     assert_verify_holds_the_identity(tmp_path_factory.mktemp("weighted"), payload, len(a))
@@ -537,3 +570,26 @@ def test_verify_holds_the_identity_on_weighted_actions(tmp_path_factory, a):
 def test_verify_holds_the_identity_on_point_cones(tmp_path_factory, p):
     assert_verify_holds_the_identity(
         tmp_path_factory.mktemp("point-cone"), presentation_to_dict(p), p.n)
+
+
+@SETTINGS
+@given(p=point_cones(), data=st.data())
+def test_an_unnamed_chart_is_accepted_exactly_when_it_has_a_twin(tmp_path_factory, p, data):
+    # A copy of a named chart under a unit u of Z_m is a second point of its
+    # stratum, so verify holds the identity.  Moving one tail weight of the
+    # copy must exit 2 unless the search over every unit still finds a twin.
+    chart = p.chart("p1")
+    m = chart.m
+    u = data.draw(st.integers(1, m - 1).filter(lambda x: gcd(x, m) == 1))
+    copy = replace(chart, weights=tuple(u * w % m for w in chart.weights), label="copy")
+    twin = replace(p, charts=p.charts + (copy,))
+    assert_verify_holds_the_identity(
+        tmp_path_factory.mktemp("twin"), presentation_to_dict(twin), p.n)
+    i = data.draw(st.integers(1, p.n - 1))
+    new = data.draw(st.integers(0, m - 1).filter(lambda x: x != copy.weights[i]))
+    moved = move_tail_weight(twin, ("copy", i, new))
+    path = tmp_path_factory.mktemp("moved-copy") / "input.json"
+    path.write_text(json.dumps(presentation_to_dict(moved)))
+    out, err = io.StringIO(), io.StringIO()
+    code = cli.main(["verify", str(path)], out=out, err=err)
+    assert code == (EXIT_INPUT if reference_twinless_charts(moved) else EXIT_OK), err.getvalue()

@@ -10,12 +10,19 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import gcd
 
 from .cone_model import SchemaError, WeightedAction, input_from_dict
 from .discrepancy import InvalidPresentation, minimal_discrepancy
 from .orb_topology import wps_cohomology
 from .rationals import format_ratio, format_rational, parse_rational
-from .reeb_orbits import engines_agree, enumerate_families, inf_lsft, tower_table
+from .reeb_orbits import (
+    _check_dimensions,
+    engines_agree,
+    enumerate_families,
+    inf_lsft,
+    tower_table,
+)
 from .ss_engine import (
     CertificationError,
     assemble_e1,
@@ -77,23 +84,33 @@ def _emit(obj, out, as_text=False):
         out.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _family_ratios(f):
-    """period, rs, lcz and lsft of f, rendered from its integer fields."""
-    d, D = f.isotropy_order, f.D
+def _family_row(f):
+    """|G|, k and ell of f, then its period, rs, lcz and lsft in lowest
+    terms: the one rendering of a family.  Two gcds reduce the four ratios,
+    since gcd(ell*|G| + k, |G|) = gcd(k, |G|), and rs, lcz and lsft differ
+    by multiples of D, so they share gcd(lsft_num, D)."""
+    # OrbitFamily's fields in order; component_id, stratum_dim and z2 unused.
+    d, k, ell, _, _, _, D, rs, lcz, lsft = f
+    g = gcd(k, d)
+    h = gcd(lsft, D)
+    D //= h
     return (
-        format_ratio(f.ell * d + f.k, d),
-        format_ratio(f.rs_num, D),
-        format_ratio(f.lcz_num, D),
-        format_ratio(f.lsft_num, D),
+        d,
+        k,
+        ell,
+        "%d/%d" % ((ell * d + k) // g, d // g),
+        "%d/%d" % (rs // h, D),
+        "%d/%d" % (lcz // h, D),
+        "%d/%d" % (lsft // h, D),
     )
 
 
 def _family_dict(f):
-    period, rs, lcz, lsft = _family_ratios(f)
+    d, k, ell, period, rs, lcz, lsft = _family_row(f)
     return {
-        "isotropy_order": f.isotropy_order,
-        "k": f.k,
-        "ell": f.ell,
+        "isotropy_order": d,
+        "k": k,
+        "ell": ell,
         "component_id": f.component_id,
         "period": period,
         "stratum_dim": f.stratum_dim,
@@ -107,6 +124,7 @@ def _family_dict(f):
 def cmd_md(args, out):
     data = _load_input(args.input)
     result = minimal_discrepancy(data.presentation)
+    _check_dimensions(data.presentation)
     _emit(
         {
             "md": format_rational(result.md),
@@ -150,11 +168,12 @@ def _e1_table(page):
     rows = []
     for key in page.keys_sorted():
         p_filtration, degree, z2 = key
+        degree = format_ratio(degree, page.L)
         for entry in page.entries[key]:
             rows.append(
                 {
                     "p": p_filtration,
-                    "degree": format_rational(degree),
+                    "degree": degree,
                     "z2": z2,
                     "rank": entry.rank,
                     "homology_degree": entry.homology_degree,
@@ -183,7 +202,7 @@ def cmd_shmin(args, out):
             "min_degree": format_rational(profile.min_degree),
             "degenerate": profile.degenerate,
             "ranks": {
-                format_rational(d): profile.ranks[d] for d in sorted(profile.ranks)
+                format_rational(degree): rank for degree, rank in profile.ranks.items()
             },
         },
         out,
@@ -271,9 +290,8 @@ def cmd_report(args, out):
     lines.append("orbit families (period <= %s):" % format_rational(max_degree))
     lines.append("  %-10s %-4s %-4s %-8s %-8s %-8s %-8s" % (
         "|G|", "k", "ell", "period", "rs", "lcz", "lsft"))
-    for f in enumerate_families(table, max_degree):
-        lines.append("  %-10d %-4d %-4d %-8s %-8s %-8s %-8s" % (
-            (f.isotropy_order, f.k, f.ell) + _family_ratios(f)))
+    lines += ["  %-10d %-4d %-4d %-8s %-8s %-8s %-8s" % _family_row(f)
+              for f in enumerate_families(table, max_degree)]
 
     page = assemble_e1(table, max_degree)
     lines.append("")
@@ -281,7 +299,7 @@ def cmd_report(args, out):
     lines.append("  %-6s %-10s %-4s %-6s %-4s" % ("p", "degree", "z2", "rank", "j"))
     for key in page.keys_sorted():
         p_filtration, degree, z2 = key
-        degree = format_rational(degree)
+        degree = format_ratio(degree, page.L)
         for entry in page.entries[key]:
             lines.append("  %-6d %-10s %-4d %-6d %-4d" % (
                 p_filtration, degree, z2, entry.rank, entry.homology_degree))
@@ -292,9 +310,8 @@ def cmd_report(args, out):
         lines.append("homology profile: empty page below the degree bound")
     elif profile.degenerate:
         lines.append("homology profile (page degenerates, ranks exact):")
-        for degree in sorted(profile.ranks):
-            lines.append("  degree %-10s rank %d" % (
-                format_rational(degree), profile.ranks[degree]))
+        for degree, rank in profile.ranks.items():
+            lines.append("  degree %-10s rank %d" % (format_rational(degree), rank))
         if data.homology_sphere_link:
             expected = expected_sh_homology_ball(pres.n, max_degree)
             match = profile.ranks == expected

@@ -4,7 +4,8 @@ is a Fraction; the diagonal-path indices, always integral, are ints.
 External formats carry rationals as strings "p/q" with q > 0 and the
 fraction reduced; no floating point is accepted anywhere.  One rule
 renders them: format_ratio reduces an integer pair by its gcd, and
-format_rational applies it to an int or a Fraction.
+format_rational applies it to an int or a Fraction.  The CLI renders an
+orbit family's four values in the same form with two gcds (cli._family_row).
 """
 
 from fractions import Fraction

@@ -11,9 +11,12 @@ rotation factor per ambient coordinate.
 
 Both engines run on integers: chart-engine indices are numerators over
 the fixed denominator D = m*den(r) of the stratum's chart, and the
-diagonal-path indices are integers.  An OrbitFamily keeps its integers:
-the numerators of rs, lcz and lsft over its stratum's D, from which its
-period, rs, lcz and lsft Fractions are built only when read.
+diagonal-path indices are integers.  An OrbitFamily, an immutable
+NamedTuple, keeps its integers: the numerators of rs, lcz and lsft over
+its stratum's D, from which its period, rs, lcz and lsft Fractions are
+built only when read.  Families are built in one place, _tower_families,
+already in period order: loop count by loop count, the towers in one
+order sorted once on an integer key.
 index_of_family_chart, index_of_family_weighted and the sympath_index
 factor are the per-family references the kernels are tested against.
 
@@ -23,7 +26,8 @@ ell = 0 lsft numerators as integer columns, with the per-loop shift.
 Whether k belongs to a stratum's tower is decided from the stratum's own
 chart: by the number of tail directions its element fixes (Kwon-van
 Koert: the families of period k/d are fixed loci), and a chart that
-contradicts its stratum is rejected while the table is built.
+contradicts its stratum is rejected while the table is built
+(_check_dimensions runs the same check with no table, for `md`).
 enumerate_families reads the table up to a period, the E1 page up to a
 degree, inf_lsft takes the minimum of each tower's first loop, and
 engines_agree compares it with the diagonal-path engine one weight
@@ -56,12 +60,11 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class OrbitFamily:
+class OrbitFamily(NamedTuple):
     """The family of period ell + k/|G| on one stratum, with its indices as
     numerators over the stratum's D (m*den(r) for its chart, den(r) on the
     principal stratum).  period, rs, lcz and lsft are the exact Fractions,
-    built when read."""
+    built when read.  An immutable, hashable tuple of its ten fields."""
 
     isotropy_order: int
     k: int
@@ -207,17 +210,18 @@ class TowerTable(NamedTuple):
     strata: tuple
 
 
-def _partial_multiples(p, stratum, chart):
-    """The stratum's admissible partial multiples.
+def _admissible_gcds(p, stratum, chart):
+    """The gcds c = gcd(k, d) of the stratum's admissible partial multiples
+    k, and the proper divisors of d = |G| they are drawn from.
 
-    Element k of Z_d (d = |G|) is the chart element k*m/d, which fixes the
-    tail coordinate of weight w when m // gcd(m, w) divides k*m/d.  The
-    count depends only on c = gcd(k, d).  Fixing exactly complex_dim
-    directions puts the element in this stratum's tower.  Fixing more puts
-    it in the closure of a bigger stratum, which carries the family: one
-    whose order is a proper divisor of d and a multiple of the element's
-    order d // c, with at least that dimension.  If there is none, or the
-    element fixes fewer directions, the presentation is incoherent, and
+    Element k of Z_d is the chart element k*m/d, which fixes the tail
+    coordinate of weight w when m // gcd(m, w) divides k*m/d.  The count
+    depends only on c = gcd(k, d).  Fixing exactly complex_dim directions
+    puts the element in this stratum's tower.  Fixing more puts it in the
+    closure of a bigger stratum, which carries the family: one whose order
+    is a proper divisor of d and a multiple of the element's order d // c,
+    with at least that dimension.  If there is none, or the element fixes
+    fewer directions, the presentation is incoherent, and
     InvalidPresentation names the smallest such k, which is c itself.
     """
     d = stratum.isotropy_order
@@ -240,11 +244,16 @@ def _partial_multiples(p, stratum, chart):
                 "stratum records %d"
                 % (d, stratum.component_id, stratum.chart_ref, fixed, c, stratum.complex_dim)
             ])
-    if len(good) == len(proper):
-        # Every gcd(k, d) is good, as when the stratum's chart fixes no tail
-        # direction at any element: no gcd to take per k.
-        return list(range(1, d))
-    return [k for k in range(1, d) if gcd(k, d) in good]
+    return good, proper
+
+
+def _check_dimensions(p):
+    """Raise the first stratum/chart dimension mismatch of the validated
+    presentation p, in the order tower_table finds it, without building
+    any column: the check of `md`, which reads no tower."""
+    for stratum in p.strata:
+        if stratum.isotropy_order > 1:
+            _admissible_gcds(p, stratum, p.chart(stratum.chart_ref))
 
 
 def tower_table(p):
@@ -252,7 +261,7 @@ def tower_table(p):
     read by enumerate_families, assemble_e1, inf_lsft and engines_agree.
 
     The one full check of a presentation: validate_presentation, then each
-    stratum's chart dimensions in stratum order (_partial_multiples).  The
+    stratum's chart dimensions in stratum order (_admissible_gcds).  The
     ell = 0 numerators come from the per-column scan of the stratum's chart
     elements k*m/d (discrepancy._scaled_values): lsft0 = 2*value - 2*D.
     """
@@ -270,7 +279,13 @@ def tower_table(p):
             continue
         chart = p.chart(stratum.chart_ref)
         m = chart.m
-        ks = _partial_multiples(p, stratum, chart)
+        good, proper = _admissible_gcds(p, stratum, chart)
+        if len(good) == len(proper):
+            # Every gcd(k, d) is good, as when the stratum's chart fixes no
+            # tail direction at any element: no gcd to take per k.
+            ks = list(range(1, d))
+        else:
+            ks = [k for k in range(1, d) if gcd(k, d) in good]
         step = m // d
         elements = [k * step for k in ks]
         D = m * den
@@ -282,34 +297,39 @@ def tower_table(p):
 def _tower_families(table, rows):
     """OrbitFamily for every ell in first_ell <= ell < stop of each
     (column, k, lsft0, stop) row, sorted by period, then isotropy order,
-    component and k."""
+    component and k.
+
+    The period ell + k/|G|, scaled to an integer by the lcm N of the
+    isotropy orders, is ell*N + k*(N // |G|) with 0 <= k*(N // |G|) < N.  So
+    the families come out sorted loop count by loop count, each loop in
+    the order of the integer key (k*(N // |G|), |G|, component, k), which is
+    the same for every ell: the towers are sorted once, on that key, and
+    no family is sorted.
+    """
     n = table.presentation.n
     z2 = (n - 1) % 2
-    families = []
+    N = table.presentation.isotropy_lcm
+    towers = []
     for column, k, lsft0, stop in rows:
-        stratum, D, shift = column.stratum, column.D, column.shift
+        stratum, D = column.stratum, column.D
         d = stratum.isotropy_order
         dim = stratum.complex_dim
-        component = stratum.component_id
         lcz0 = lsft0 - (n - 3) * D
-        rs0 = lcz0 + dim * D
-        for ell in range(column.first_ell, stop):
-            step = ell * shift
-            families.append(
-                OrbitFamily(d, k, ell, component, dim, z2, D,
-                            rs0 + step, lcz0 + step, lsft0 + step)
-            )
-    # The period scaled to an integer by the lcm of the isotropy orders,
-    # which every period's denominator divides.
-    N = table.presentation.isotropy_lcm
-    families.sort(
-        key=lambda f: (
-            f.ell * N + f.k * (N // f.isotropy_order),
-            f.isotropy_order,
-            f.component_id,
-            f.k,
-        )
-    )
+        # The sort key, then first_ell and stop, then the rest of the family.
+        towers.append((k * (N // d), d, stratum.component_id, k, column.first_ell, stop,
+                       dim, D, column.shift, lcz0 + dim * D, lcz0, lsft0))
+    towers.sort()
+    families = []
+    append = families.append
+    ell = 0
+    while towers:
+        for _, d, component, k, first, _, dim, D, shift, rs0, lcz0, lsft0 in towers:
+            if first <= ell:
+                step = ell * shift
+                append(OrbitFamily(d, k, ell, component, dim, z2, D,
+                                   rs0 + step, lcz0 + step, lsft0 + step))
+        ell += 1
+        towers = [tower for tower in towers if tower[5] > ell]  # ell < stop
     return families
 
 

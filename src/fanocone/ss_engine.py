@@ -3,7 +3,11 @@
 Every orbit family contributes the homology of its stratum, shifted so
 the degree of the H_j block entry is lcz + j; the filtration index is
 N * period with N the lcm of the isotropy orders.  The page is read off
-the command's tower table (reeb_orbits.tower_table).  When the page is
+the command's tower table (reeb_orbits.tower_table) and keyed by
+integers: (filtration, degree numerator, z2), every degree a numerator
+over the page's L, the lcm of the table's denominators D.  Its degree
+cut, key order and rank sums run on those integers; a Fraction is built
+only for SHProfile, once per distinct degree.  When the page is
 monochromatic in the Z2 grading every differential vanishes and the page
 computes the homology outright; otherwise only the minimal nonzero
 degree is certified, via the survivor argument.  With b0 >= 1 validated
@@ -13,6 +17,8 @@ minimal H_0 entry (see certify_min_degree).
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import itemgetter
 
 from .reeb_orbits import _tower_families
 
@@ -43,19 +49,23 @@ class E1Entry:
 class E1Page:
     n: int
     N: int
+    # The lcm of the tower table's denominators D: every degree on the
+    # page is an integer numerator over L.
+    L: int
     max_degree: Fraction
-    # (filtration p, total degree, z2 grade) -> tuple of entries
+    # (filtration p, degree numerator over L, z2 grade) -> tuple of entries
     entries: dict
 
     def keys_sorted(self):
-        return sorted(self.entries, key=lambda key: (key[1], key[0], key[2]))
+        """The keys by degree, then filtration, then grade."""
+        return sorted(self.entries, key=itemgetter(1, 0, 2))
 
 
 @dataclass(frozen=True)
 class SHProfile:
     min_degree: Fraction
     degenerate: bool
-    ranks: dict  # degree -> rank, populated only when degenerate
+    ranks: dict  # degree -> rank in increasing degree, populated only when degenerate
 
 
 def assemble_e1(table, max_degree):
@@ -67,12 +77,15 @@ def assemble_e1(table, max_degree):
     (lcz0 + ell*shift)/D with shift > 0, so the loops that can carry an
     entry are exactly those with lcz0 + ell*shift <= max_degree*D, counted
     in integers.  The filtration index N * period is the integer
-    ell*N + k*(N // |G|).
+    ell*N + k*(N // |G|), and the degree lcz + j the integer numerator
+    (lcz_num + j*D) * (L // D) over the page's L, cut at
+    floor(max_degree * L).
     """
     max_degree = Fraction(max_degree)
     top, bottom = max_degree.numerator, max_degree.denominator
     p = table.presentation
     n = p.n
+    L = lcm(*(column.D for column in table.strata))
     rows = []
     for column in table.strata:
         D, shift, first = column.D, column.shift, column.first_ell
@@ -85,23 +98,24 @@ def assemble_e1(table, max_degree):
                 stop = (top * D - bottom * lcz0) // (bottom * shift) + 1
                 rows.append((column, k, lsft0, stop))
     N = p.isotropy_lcm
+    cut = top * L // bottom
 
     strata = {(s.isotropy_order, s.component_id): s for s in p.strata}
     entries = {}
     for family in _tower_families(table, rows):
-        filtration = family.ell * N + family.k * (N // family.isotropy_order)
-        stratum = strata[(family.isotropy_order, family.component_id)]
-        for j, bj in enumerate(stratum.betti):
-            if bj == 0:
-                continue
-            degree = family.lcz + j
-            if degree > max_degree:
-                continue
-            entries.setdefault((filtration, degree, (n - 1 + j) % 2), []).append(
-                E1Entry(rank=bj, family=family, homology_degree=j)
-            )
+        d = family.isotropy_order
+        filtration = family.ell * N + family.k * (N // d)
+        degree = family.lcz_num * (L // family.D)
+        for j, bj in enumerate(strata[(d, family.component_id)].betti):
+            if degree > cut:
+                break
+            if bj:
+                entries.setdefault((filtration, degree, (n - 1 + j) % 2), []).append(
+                    E1Entry(rank=bj, family=family, homology_degree=j)
+                )
+            degree += L
     frozen = {key: tuple(val) for key, val in entries.items()}
-    return E1Page(n=n, N=N, max_degree=max_degree, entries=frozen)
+    return E1Page(n=n, N=N, L=L, max_degree=max_degree, entries=frozen)
 
 
 def certify_min_degree(page):
@@ -125,11 +139,13 @@ def certify_min_degree(page):
         for key, entries in page.entries.items()
     ):
         raise CertificationError("no H_0 entry at the minimal degree")
-    return SHProfile(min_degree=min_degree, degenerate=False, ranks={})
+    return SHProfile(min_degree=Fraction(min_degree, page.L), degenerate=False, ranks={})
 
 
 def degenerate_ranks(page):
-    """Full ranks when the page is monochromatic (all differentials die)."""
+    """Full ranks when the page is monochromatic (all differentials die),
+    summed per integer degree and keyed by the degree's Fraction, in
+    increasing degree."""
     if not page.entries:
         raise CertificationError("empty page")
     shades = {key[2] for key in page.entries}
@@ -138,8 +154,8 @@ def degenerate_ranks(page):
     ranks = {}
     for (_, degree, _), entries in page.entries.items():
         ranks[degree] = ranks.get(degree, 0) + sum(e.rank for e in entries)
-    min_degree = min(ranks)
-    return SHProfile(min_degree=min_degree, degenerate=True, ranks=ranks)
+    ranks = {Fraction(degree, page.L): ranks[degree] for degree in sorted(ranks)}
+    return SHProfile(min_degree=next(iter(ranks)), degenerate=True, ranks=ranks)
 
 
 def expected_sh_homology_ball(n, max_degree):

@@ -338,6 +338,15 @@ def test_dimension_check_covers_towers_above_the_degree_bound(tmp_path):
     assert "gives dimension 0 for element k=1, stratum records 1" in err
 
 
+def test_md_checks_stratum_dimensions(tmp_path):
+    # md reads no orbit tower, but rejects the same incoherent presentation.
+    good, bad = _dimension_mismatch_above_the_degree_bound()
+    assert run_cli(["md", presentation_file(tmp_path, good)])[0] == 0
+    code, out, err = run_cli(["md", presentation_file(tmp_path, bad, name="bad.json")])
+    assert code == 2 and out == ""
+    assert "gives dimension 0 for element k=1, stratum records 1" in err
+
+
 def test_e1_checks_towers_above_its_degree_bound(tmp_path):
     _, bad = _dimension_mismatch_above_the_degree_bound()
     code, out, err = run_cli(["e1", presentation_file(tmp_path, bad), "--max-degree", "1"])
@@ -587,7 +596,7 @@ def test_orbits_and_e1_render_the_fraction_values(tmp_path):
 
         page = assemble_e1(table, 12)
         expected = [
-            {"p": key[0], "degree": format_rational(key[1]), "z2": key[2],
+            {"p": key[0], "degree": format_rational(Fraction(key[1], page.L)), "z2": key[2],
              "rank": entry.rank, "homology_degree": entry.homology_degree,
              "family": _fraction_family_dict(entry.family)}
             for key in page.keys_sorted() for entry in page.entries[key]

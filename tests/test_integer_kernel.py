@@ -26,8 +26,9 @@ orbifold point cones with non-integral r.  On both, `verify` must hold
 the identity 2*md = inf lSFT = sh_min + n - 3 and exit 0, also with an
 unnamed copy of a point cone's chart under a unit of Z_m; moving a tail
 weight of that copy must exit 2 unless it still has a twin.  format_ratio,
-the integer rule every family value is rendered by, is checked against
-the reduced Fraction.
+the integer rule every page degree is rendered by, is checked against
+the reduced Fraction, and the CLI's family renderer, which reduces with
+gcd(k, |G|) and the one gcd(lsft_num, D), against the family's Fractions.
 """
 
 import io
@@ -35,7 +36,7 @@ import json
 from bisect import bisect_right
 from dataclasses import replace
 from fractions import Fraction
-from math import floor, gcd
+from math import floor, gcd, lcm
 from typing import NamedTuple
 
 import pytest
@@ -216,7 +217,10 @@ def test_point_cones_match_references(p, max_period):
 def reference_page(p, max_degree):
     """E1 entries of degree <= max_degree from enumerate_families up to a
     period bound derived a priori: every ell = 0 family has lcz > 1 - n
-    (its chart element value is positive) and each loop adds 2R."""
+    (its chart element value is positive) and each loop adds 2R.  Built on
+    Fractions, then keyed by the degree's numerator over L, the lcm of the
+    towers' denominators (den(r), and m*den(r) per stratum chart); returns
+    L and the entries."""
     bound = 2 + floor((max_degree + p.n - 1) / (2 * p.r))
     strata = {(s.isotropy_order, s.component_id): s for s in p.strata}
     entries = {}
@@ -226,20 +230,51 @@ def reference_page(p, max_degree):
             if bj and f.lcz + j <= max_degree:
                 key = (p.isotropy_lcm * f.period, f.lcz + j, (p.n - 1 + j) % 2)
                 entries.setdefault(key, []).append(E1Entry(bj, f, j))
-    return {key: tuple(val) for key, val in entries.items()}
+    L = lcm(*(p.r.denominator * (p.chart(s.chart_ref).m if s.isotropy_order > 1 else 1)
+              for s in p.strata))
+    page = {}
+    for (filtration, degree, z2), val in entries.items():
+        assert filtration.denominator == 1 and (degree * L).denominator == 1
+        page[(int(filtration), int(degree * L), z2)] = tuple(val)
+    return L, page
+
+
+def assert_page_matches_reference(p, max_degree):
+    page = assemble_e1(tower_table(p), max_degree)
+    assert (page.L, page.entries) == reference_page(p, max_degree)
 
 
 @SETTINGS
 @given(weight_vectors, degree_bounds)
 def test_weighted_e1_page_is_complete(a, max_degree):
-    p = from_weighted_action(WeightedAction(tuple(a)))
-    assert assemble_e1(tower_table(p), max_degree).entries == reference_page(p, max_degree)
+    assert_page_matches_reference(from_weighted_action(WeightedAction(tuple(a))), max_degree)
 
 
 @SETTINGS
 @given(point_cones(), degree_bounds)
+# r = 1/10^6 on the chart (3; 1, 1): L = 3*10^6, and the bound, just above
+# 1 - n, keeps the first five loops of the principal tower.
+@example(orbifold_point_cone(2, 3, (1,), Fraction(1, 10**6)), Fraction(-99999, 100000))
 def test_point_cone_e1_page_is_complete(p, max_degree):
-    assert assemble_e1(tower_table(p), max_degree).entries == reference_page(p, max_degree)
+    assert_page_matches_reference(p, max_degree)
+
+
+def assert_families_render_their_fractions(p):
+    for f in enumerate_families(tower_table(p), MAX_PERIOD):
+        assert cli._family_row(f) == (f.isotropy_order, f.k, f.ell) + tuple(
+            format_rational(x) for x in (f.period, f.rs, f.lcz, f.lsft))
+
+
+@SETTINGS
+@given(weight_vectors)
+def test_weighted_families_render_their_fractions(a):
+    assert_families_render_their_fractions(from_weighted_action(WeightedAction(tuple(a))))
+
+
+@SETTINGS
+@given(point_cones())
+def test_point_cone_families_render_their_fractions(p):
+    assert_families_render_their_fractions(p)
 
 
 def reference_realized_orders(a):

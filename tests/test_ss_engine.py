@@ -33,7 +33,11 @@ def test_page_21():
     p = from_weighted_action(WeightedAction((2, 1)))
     page = assemble_e1(tower_table(p), 8)
     assert page.N == 2
-    assert sorted(page.entries) == [(1, 3, 1), (2, 5, 1), (2, 7, 1)]
+    # Degrees are numerators over L, the lcm of the towers' denominators.
+    assert page.L == 2
+    assert sorted(page.entries) == [
+        (f, degree * page.L, z2) for f, degree, z2 in [(1, 3, 1), (2, 5, 1), (2, 7, 1)]
+    ]
 
 
 def test_page_keys_carry_filtration_and_grade():
@@ -44,7 +48,8 @@ def test_page_keys_carry_filtration_and_grade():
         for e in entries:
             assert filt == 6 * e.family.period
             assert z2 == (p.n - 1 + e.homology_degree) % 2
-            assert degree <= 12
+            assert Fraction(degree, page.L) == e.family.lcz + e.homology_degree
+            assert degree <= 12 * page.L
             assert filt > 0
 
 
@@ -62,8 +67,9 @@ def test_certify_needs_an_h0_entry_at_the_minimal_degree():
     # A validated presentation always has one (b0 >= 1); a page built by
     # hand need not.
     p = from_weighted_action(WeightedAction((2, 1)))
-    family = assemble_e1(tower_table(p), 3).entries[(1, 3, 1)][0].family
-    page = E1Page(n=2, N=2, max_degree=Fraction(4),
+    built = assemble_e1(tower_table(p), 3)
+    family = built.entries[(1, 3 * built.L, 1)][0].family
+    page = E1Page(n=2, N=2, L=1, max_degree=Fraction(4),
                   entries={(1, 4, 0): (E1Entry(rank=1, family=family, homology_degree=1),)})
     with pytest.raises(CertificationError, match="no H_0 entry"):
         certify_min_degree(page)
@@ -82,6 +88,9 @@ def test_degenerate_towers():
     profile = degenerate_ranks(assemble_e1(tower_table(p), 15))
     assert profile.degenerate
     assert profile.ranks == {d: 1 for d in range(3, 16, 2)}
+    # In increasing degree, which the CLI prints in order.
+    assert list(profile.ranks) == sorted(profile.ranks)
+    assert profile.min_degree == 3
     # (1,1,2): Z2 tower lcz in {4,12,20,...} and principal {6,8,10},...
     p = from_weighted_action(WeightedAction((1, 1, 2)))
     profile = degenerate_ranks(assemble_e1(tower_table(p), 12))
@@ -137,7 +146,8 @@ def test_completeness_under_larger_cutoff():
     p = from_weighted_action(WeightedAction((3, 2)))
     small = assemble_e1(tower_table(p), 9)
     large = assemble_e1(tower_table(p), 25)
-    trimmed = {k: v for k, v in large.entries.items() if k[1] <= 9}
+    assert small.L == large.L
+    trimmed = {k: v for k, v in large.entries.items() if k[1] <= 9 * large.L}
     assert trimmed == dict(small.entries)
 
 
@@ -146,4 +156,4 @@ def test_keys_sorted_order():
     page = assemble_e1(tower_table(p), 11)
     keys = page.keys_sorted()
     assert keys == sorted(keys, key=lambda key: (key[1], key[0], key[2]))
-    assert keys[0][1] == 3
+    assert keys[0][1] == 3 * page.L
